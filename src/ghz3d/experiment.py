@@ -37,6 +37,7 @@ from .elements import (
 )
 from .states import (
     ELL_MAX,
+    LinearMap,
     ModeLabel,
     PhotonicState,
     apply,
@@ -45,8 +46,6 @@ from .states import (
     postselect,
     tensor,
 )
-
-PATHS = ("A", "B", "C", "D")
 
 #: mirror stations exposed by the pipeline, in beam order
 MIRROR_STATIONS = (
@@ -82,6 +81,8 @@ class SourceAmplitudes:
     c2: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.c0, self.c1, self.c2))):
+            raise ValueError(f"source amplitudes must be finite: c0={self.c0}, c1={self.c1}, c2={self.c2}")
         if min(self.c0, self.c1, self.c2) < 0:
             raise ValueError("source amplitudes must be non-negative")
         n = self.c0**2 + 2 * self.c1**2 + 2 * self.c2**2
@@ -117,6 +118,8 @@ class PipelineConfig:
     cmp_ket: Mapping[int, complex] | None = field(default_factory=lambda: dict(CMP_KET))
     elements_override: tuple[ElementSpec, ...] | None = None
     restrict_detection: bool = True  # drop modes outside the c2-free support
+    # compiled element chains by tag set, filled by _element_maps
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.overlap <= 1.0:
@@ -202,26 +205,50 @@ def pipeline_elements(cfg: PipelineConfig) -> tuple[ElementSpec, ...]:
     return tuple(chain)
 
 
-def _all_modes(cfg: PipelineConfig, tags: Sequence[int]) -> set[ModeLabel]:
-    return {
-        ModeLabel(p, ell, t)
-        for p in cfg.detector_paths
-        for ell in range(-ELL_MAX, ELL_MAX + 1)
-        for t in tags
-    }
+def _element_maps(cfg: PipelineConfig, tags: tuple[int, ...]) -> tuple[tuple[ElementSpec, LinearMap], ...]:
+    """Each element of ``pipeline_elements(cfg)`` with its map at ``tags``.
+
+    Maps are identity-extended over all tracked modes, so a stray photon
+    raises UnsupportedMode.  Built once per tag set and kept on the frozen
+    config, whose mapping fields must therefore not be mutated.
+    """
+    chain = cfg._chains.get(tags)
+    if chain is None:
+        ells = range(-ELL_MAX, ELL_MAX + 1)
+        all_modes = {ModeLabel(p, ell, t) for p in cfg.detector_paths for ell in ells for t in tags}
+        chain = tuple(
+            (spec, extend_identity(build_element(spec, tags=tags), all_modes))
+            for spec in pipeline_elements(cfg)
+        )
+        cfg._chains[tags] = chain
+    return chain
 
 
-def _apply_multiport(cfg: PipelineConfig, state: PhotonicState, tags: Sequence[int]) -> PhotonicState:
+def _apply_multiport(cfg: PipelineConfig, state: PhotonicState, tags: tuple[int, ...]) -> PhotonicState:
     """Send a state through the element chain, stage by stage.
 
-    Each element map is extended by the identity on all other tracked modes,
-    so a photon straying outside an element's support raises UnsupportedMode
-    instead of being silently passed through.
+    The chain is compiled once per (config, tags) by ``_element_maps`` and
+    reused by every run, combination and projection on that config.
     """
-    all_modes = _all_modes(cfg, tags)
-    for spec in pipeline_elements(cfg):
-        state = apply(extend_identity(build_element(spec, tags=tags), all_modes), state)
+    for _, m in _element_maps(cfg, tags):
+        state = apply(m, state)
     return state
+
+
+def _detected(
+    cfg: PipelineConfig, tags: tuple[int, int], kinds: tuple[str, str] | None = None
+) -> tuple[PhotonicState, float]:
+    """Both sources at ``tags`` (one pair term each, if ``kinds``) through the
+    multi-port, postselected on one photon per detector.
+    """
+    if kinds is None:
+        s1 = spdc_state(cfg.source1_paths, cfg.source1, tags[0], cfg.include_c2)
+        s2 = spdc_state(cfg.source2_paths, cfg.source2, tags[1], cfg.include_c2)
+    else:
+        s1 = _single_term_source(kinds[0], cfg.source1_paths, tags[0])
+        s2 = _single_term_source(kinds[1], cfg.source2_paths, tags[1])
+    transformed = _apply_multiport(cfg, tensor(s1, s2), tuple(sorted(set(tags))))
+    return postselect(transformed, cfg.detector_paths)
 
 
 @dataclass(frozen=True)
@@ -321,13 +348,7 @@ def _run_once(
     support: set[tuple[str, int]] | None = None,
 ) -> PipelineResult:
     """One coherent pipeline run with fixed per-source tags."""
-    tag_set = tuple(sorted(set(tags)))
-    src = tensor(
-        spdc_state(cfg.source1_paths, cfg.source1, tags[0], cfg.include_c2),
-        spdc_state(cfg.source2_paths, cfg.source2, tags[1], cfg.include_c2),
-    )
-    transformed = _apply_multiport(cfg, src, tag_set)
-    selected, p_select = postselect(transformed, cfg.detector_paths)
+    selected, p_select = _detected(cfg, tags)
     if support is not None and not selected.is_zero:
         kept = {
             term.occupation: term.amplitude
@@ -478,42 +499,24 @@ class TermClassification:
 def _combo_probability(
     cfg: PipelineConfig, kinds: tuple[str, str], tags: tuple[int, int], with_cmp: bool
 ) -> float:
-    tag_set = tuple(sorted(set(tags)))
-    src = tensor(
-        _single_term_source(kinds[0], cfg.source1_paths, tags[0]),
-        _single_term_source(kinds[1], cfg.source2_paths, tags[1]),
-    )
-    transformed = _apply_multiport(cfg, src, tag_set)
-    selected, p = postselect(transformed, cfg.detector_paths)
-    if p == 0.0 or not with_cmp or cfg.cmp_ket is None:
-        return p
-    cmp_proj = Projector1.of(cfg.source1_paths[0], cfg.cmp_ket)
-    _, p_cmp = project(cmp_proj, selected)
-    return p * p_cmp
+    a = cfg.source1_paths[0]
+    cmp = {a: Projector1.of(a, cfg.cmp_ket)} if with_cmp and cfg.cmp_ket is not None else {}
+    return _projected_fourfold(cfg, cmp, tags, kinds)
 
 
 def _sorter_parity_blocked(cfg: PipelineConfig, kinds: tuple[str, str]) -> bool:
     """True when the sorter alone already precludes one photon per path."""
-    src = tensor(
+    state = tensor(
         _single_term_source(kinds[0], cfg.source1_paths, 0),
         _single_term_source(kinds[1], cfg.source2_paths, 0),
     )
-    chain: list[ElementSpec] = []
-    for spec in pipeline_elements(cfg):
+    for spec, m in _element_maps(cfg, (0,)):
+        if spec.kind in ("MIRROR", "PARITY_SORTER"):
+            state = apply(m, state)
         if spec.kind == "PARITY_SORTER":
-            chain.append(spec)
             break
-        if spec.kind == "MIRROR":
-            chain.append(spec)
-    all_modes = _all_modes(cfg, (0,))
-    state = src
-    for spec in chain:
-        state = apply(extend_identity(build_element(spec, tags=(0,)), all_modes), state)
     detector = sorted(cfg.detector_paths)
-    for term in state.terms:
-        if sorted(m.path for m in term.occupation) == detector:
-            return False
-    return True
+    return all(sorted(m.path for m in t.occupation) != detector for t in state.terms)
 
 
 def classify_terms(cfg: PipelineConfig) -> TermClassification:
@@ -548,22 +551,19 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
 
 
 def _projected_fourfold(
-    cfg: PipelineConfig, projection: Mapping[str, Projector1], tags: tuple[int, int]
+    cfg: PipelineConfig,
+    projection: Mapping[str, Projector1],
+    tags: tuple[int, int],
+    kinds: tuple[str, str] | None = None,
 ) -> float:
-    tag_set = tuple(sorted(set(tags)))
-    src = tensor(
-        spdc_state(cfg.source1_paths, cfg.source1, tags[0], cfg.include_c2),
-        spdc_state(cfg.source2_paths, cfg.source2, tags[1], cfg.include_c2),
-    )
-    transformed = _apply_multiport(cfg, src, tag_set)
-    state, p = postselect(transformed, cfg.detector_paths)
-    if p == 0.0:
-        return 0.0
+    """Four-fold probability after the given projectors, in detector order."""
+    state, p = _detected(cfg, tags, kinds)
     for path in cfg.detector_paths:
-        state, p_proj = project(projection[path], state)
-        p *= p_proj
         if p == 0.0:
             return 0.0
+        if path in projection:
+            state, p_proj = project(projection[path], state)
+            p *= p_proj
     return p
 
 

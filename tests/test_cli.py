@@ -61,6 +61,14 @@ def test_invalid_pipeline_value_exits_2(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
 
 
+def test_nonfinite_source_amplitude_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"pipeline": {"source1": {"c0": NaN, "c1": 0.5}}}')
+    assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+    assert "c0=nan" in capsys.readouterr().err
+    assert not (tmp_path / "state.json").exists()
+
+
 def test_hom_curve(tmp_path):
     from ghz3d.spectral import sigma_gvm
 

@@ -73,6 +73,14 @@ def test_source_normalization_enforced():
         SourceAmplitudes(1.0, 1.0, 0.0)
 
 
+def test_source_amplitudes_must_be_finite():
+    for amps in ((math.nan, 0.5, 0.0), (0.5, math.inf, 0.0), (0.5, 0.5, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            SourceAmplitudes(*amps)
+    with pytest.raises(ValueError):
+        SourceAmplitudes.from_ratios(math.nan)
+
+
 # --- the target GHZ state ---------------------------------------------------
 
 

@@ -1,0 +1,79 @@
+"""Byte identity of the ``ghz3d simulate`` artifacts across refactors.
+
+The digests below were recorded from the implementation that rebuilt and
+re-checked every element map on each pass through the multi-port.  Compiling
+the chain once per configuration performs the same arithmetic per stage, so
+``state.json`` and ``report.json`` must not change by a single byte.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ghz3d.cli import main, pipeline_config_from
+from ghz3d.experiment import DETAILED_SETUP_MIRRORS, classify_terms
+
+CONFIGS = {
+    "default": None,
+    "detailed_mirrors": {"pipeline": {"mirrors": DETAILED_SETUP_MIRRORS}},
+    "even_swap_sorter": {"pipeline": {"sorter": {"odd_swaps": False, "swap_phase": -1.0}}},
+    "partial_overlap_c2": {
+        "pipeline": {
+            "overlap": 0.834,
+            "include_c2": True,
+            "source1": {"c0_over_c1": 1.2, "c1_over_c2": 2.5},
+        }
+    },
+}
+
+# sha256 of (state.json, report.json)
+GOLDEN = {
+    "default": (
+        "0b35b34cc2c3d8a25ba4439aa80e3c3e1cb7acde470c0c4338bf21db31047c59",
+        "b1a5cb5192149daa4073a53deaf0e6a36b463128a919a451498618d1c69e1556",
+    ),
+    "detailed_mirrors": (
+        "0bca045a9eaa718c23229df3560e79b13d9782030ae066978587bbe7051322a9",
+        "52edc273bc79f34a2a66cbc0504cb575afbfb684235a949a77780bc8725250f1",
+    ),
+    "even_swap_sorter": (
+        "67dff63c60bb8cb077fad6f51669a08f79d044943b911560df28160ccb744727",
+        "87542a3c8be47809c2810ce9ae0c5c8f8834ae657e865e5c6837c427e0678588",
+    ),
+    "partial_overlap_c2": (
+        "c55157b5043fe3485d7cbac088f39a413f3849a0c07245dc5678f8d261182a4a",
+        "b0956d0be2ea2a6e6ebb2d12a659d447e6293b397e8ab0678262c954567a7064",
+    ),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_simulate_artifacts_byte_identical(name, tmp_path):
+    args = ["simulate", "--out", str(tmp_path / "out")]
+    if CONFIGS[name] is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CONFIGS[name]))
+        args += ["--config", str(cfg)]
+    assert main(args) == 0
+    got = tuple(_sha256(tmp_path / "out" / f) for f in ("state.json", "report.json"))
+    assert got == GOLDEN[name]
+
+
+def test_classification_independent_of_earlier_configs():
+    # the two configs differ only in the sorter convention; a compiled chain
+    # leaking from one config to the other would change the verdicts
+    def fresh(name):
+        return pipeline_config_from(CONFIGS[name] or {})
+
+    alone = classify_terms(fresh("even_swap_sorter"))
+    default = classify_terms(fresh("default"))
+    after = classify_terms(fresh("even_swap_sorter"))
+    assert after == alone
+    assert after != default
+    cfg = fresh("default")
+    assert classify_terms(cfg) == classify_terms(cfg) == default

@@ -1,9 +1,11 @@
 """Photonic state algebra: terms, maps, bosonic statistics, post-selection."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghz3d.states import (
     ELL_MAX,
@@ -214,3 +216,115 @@ def test_postselect_invariant_under_internal_unitary():
 def test_inner_product_counts_multiplicity():
     s = PhotonicState({(A1, A1): 1.0})
     assert abs(inner(s, s) - 2.0) < 1e-12  # <0|a a a† a†|0> = 2
+
+
+def test_nonfinite_amplitude_rejected():
+    for bad in (math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            PhotonicState({(A0,): 0.5, (A1,): bad})
+    # a sum that overflows is not a non-finite term
+    PhotonicState({(A0,): 1e308, (A1,): 1e308})
+
+
+def test_apply_raises_on_nan_coefficient():
+    m = LinearMap({A0: ((A0, math.nan),)})
+    with pytest.raises(ValueError, match="non-finite"):
+        apply(m, PhotonicState.single(A0))
+
+
+# --- unitarity check ----------------------------------------------------------
+
+S2 = 1 / math.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # two columns onto one mode
+        {A0: ((A0, 1.0),), A1: ((A0, 1.0),)},
+        # a 50/50 column without its 1/sqrt(2)
+        {A0: ((A0, 1.0), (B1, 1.0)), B1: ((A0, S2), (B1, -S2))},
+        # two overlapping, non-orthogonal images
+        {A0: ((A0, S2), (B1, S2)), B1: ((A0, S2), (B1, 1j * S2))},
+        # a supported mode with an empty image
+        {A0: ((A0, 1.0),), A1: ()},
+    ],
+    ids=["shared-image", "unnormalized-5050", "non-orthogonal", "empty-image"],
+)
+def test_declared_unitary_map_rejected(entries):
+    assert not LinearMap(entries).check_unitary()
+    with pytest.raises(ValueError, match="unitary"):
+        LinearMap(entries, unitary=True)
+
+
+def test_map_within_tolerance_accepted():
+    off = 4e-13  # |c|^2 - 1 = 8e-13 and a cross term of the same order, below 1e-12
+    m = LinearMap(
+        {A0: ((A0, S2 * (1 + off)), (B1, 1j * S2)), B1: ((A0, 1j * S2), (B1, S2))},
+        unitary=True,
+    )
+    assert m.check_unitary()
+    assert not m.check_unitary(tol=1e-14)
+
+
+def brute_force_unitary(entries, tol=1e-12):
+    """O(n^2) reference: every column pair's inner product against delta_ij."""
+    images = {}
+    for src, image in entries.items():
+        acc = {}
+        for dst, c in image:
+            acc[dst] = acc.get(dst, 0.0) + c
+        images[src] = acc
+    for ci, img_i in images.items():
+        for cj, img_j in images.items():
+            dot = sum(img_i.get(m, 0.0).conjugate() * c for m, c in img_j.items())
+            if abs(dot - (1.0 if ci == cj else 0.0)) > tol:
+                return False
+    return True
+
+
+MAP_MODES = [
+    ModeLabel(p, ell, t) for p in "AB" for ell in range(-ELL_MAX, ELL_MAX + 1) for t in (0, 1)
+]
+ANGLES = st.floats(0.0, 2 * math.pi)
+
+
+@st.composite
+def sparse_maps(draw):
+    """Phased permutations and 2x2 unitary blocks, some of them perturbed."""
+    n = draw(st.integers(1, len(MAP_MODES)))
+    srcs = draw(st.permutations(MAP_MODES))[:n]
+    dsts = draw(st.permutations(MAP_MODES))[:n]
+    entries = {}
+    i = 0
+    while i < n:
+        phase = cmath.exp(1j * draw(ANGLES))
+        if i + 1 < n and draw(st.booleans()):
+            theta, phi = draw(ANGLES), cmath.exp(1j * draw(ANGLES))
+            c, s = math.cos(theta), math.sin(theta)
+            a, b = dsts[i], dsts[i + 1]
+            entries[srcs[i]] = ((a, c * phase), (b, s * phase))
+            entries[srcs[i + 1]] = ((a, -s * phi), (b, c * phi))
+            i += 2
+        else:
+            entries[srcs[i]] = ((dsts[i], phase),)
+            i += 1
+    k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    perturbation = draw(st.sampled_from(["none", "scale", "leak", "copy", "drop"]))
+    if perturbation == "scale":  # |column|^2 moves by about 2 delta
+        delta = draw(st.sampled_from([1e-14, 1e-6, 0.1]))
+        entries[srcs[k]] = tuple((m, c * (1 + delta)) for m, c in entries[srcs[k]])
+    elif perturbation == "leak":  # extra coefficient onto another column's image
+        eps = draw(st.sampled_from([1e-14, 1e-3, 0.5]))
+        entries[srcs[k]] = entries[srcs[k]] + ((dsts[j], eps),)
+    elif perturbation == "copy" and j != k:
+        entries[srcs[k]] = entries[srcs[j]]
+    elif perturbation == "drop":
+        entries[srcs[k]] = ()
+    return entries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_maps())
+def test_check_unitary_matches_brute_force(entries):
+    assert LinearMap(entries).check_unitary() == brute_force_unitary(entries)
