@@ -1,51 +1,14 @@
-"""Numerically hot kernels: numba-jitted loops with a pure-numpy fallback.
+"""Numerically hot kernels, vectorized in numpy.
 
 The two kernels that dominate runtime are the local-realistic enumeration
 over 3^9 value assignments (exact integer arithmetic) and the accumulation
-sums of the four-frequency quadrature for the four-photon dip model.
-
-Backend selection via the ``GHZ3D_NUMBA`` environment variable:
-
-* unset / ``auto`` -- use numba when importable, else numpy;
-* ``0`` / ``false`` / ``off`` -- force the numpy path;
-* ``1`` / ``true`` / ``on`` -- require numba, raise if unavailable.
-
-Both backends run their reductions in a fixed order, so results are
-deterministic per backend; ``benchmarks/bench_kernels.py`` compares them.
+sums of the four-frequency quadrature for the four-photon dip model.  Both
+run their reductions in a fixed order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:  # pragma: no cover - import guard
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
-_ENV_VAR = "GHZ3D_NUMBA"
-
-
-def numba_enabled() -> bool:
-    """Whether the jitted backend is active under the current environment."""
-    raw = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if raw in ("0", "false", "off", "no"):
-        return False
-    if raw in ("1", "true", "on", "yes"):
-        if not HAVE_NUMBA:
-            raise RuntimeError(f"{_ENV_VAR} requires numba but it is not importable")
-        return True
-    return HAVE_NUMBA
-
-
-def backend_name() -> str:
-    return "numba" if numba_enabled() else "numpy"
-
 
 # --- local-realistic enumeration ------------------------------------------
 #
@@ -71,96 +34,25 @@ LR_TERMS = (
 N_ASSIGNMENTS = 3**9
 
 
-def _lr_scan_numpy(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = N_ASSIGNMENTS
-    idx = np.arange(n, dtype=np.int64)
-    trits = np.empty((9, n), dtype=np.int64)
-    for j in range(9):
-        trits[j] = (idx // 3**j) % 3
-    counts = np.zeros((3, n), dtype=np.int64)
-    for pre, i1, i2, i3 in terms:
-        e = (pre + trits[i1] + trits[i2] + trits[i3]) % 3
-        for r in range(3):
-            counts[r] += e == r
-    a = counts[0] - counts[2]
-    b = counts[1] - counts[2]
-    return a, b
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _lr_scan_jit(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover - jitted
-        n = 3**9
-        a = np.empty(n, dtype=np.int64)
-        b = np.empty(n, dtype=np.int64)
-        trits = np.empty(9, dtype=np.int64)
-        for i in range(n):
-            v = i
-            for j in range(9):
-                trits[j] = v % 3
-                v //= 3
-            n0 = 0
-            n1 = 0
-            n2 = 0
-            for t in range(terms.shape[0]):
-                e = (
-                    terms[t, 0]
-                    + trits[terms[t, 1]]
-                    + trits[terms[t, 2]]
-                    + trits[terms[t, 3]]
-                ) % 3
-                if e == 0:
-                    n0 += 1
-                elif e == 1:
-                    n1 += 1
-                else:
-                    n2 += 1
-            a[i] = n0 - n2
-            b[i] = n1 - n2
-        return a, b
-
-
 def lr_scan() -> tuple[np.ndarray, np.ndarray]:
     """(a, b) integer coordinates of S = a + b*omega for all 3^9 assignments.
 
     Index i encodes the assignment base-3, least-significant slot first.
     Integer arithmetic throughout; no floating point touches the sum.
     """
-    terms = np.asarray(LR_TERMS, dtype=np.int64)
-    if numba_enabled():
-        return _lr_scan_jit(terms)
-    return _lr_scan_numpy(terms)
+    idx = np.arange(N_ASSIGNMENTS, dtype=np.int64)
+    trits = np.empty((9, N_ASSIGNMENTS), dtype=np.int64)
+    for j in range(9):
+        trits[j] = (idx // 3**j) % 3
+    counts = np.zeros((3, N_ASSIGNMENTS), dtype=np.int64)
+    for pre, i1, i2, i3 in LR_TERMS:
+        e = (pre + trits[i1] + trits[i2] + trits[i3]) % 3
+        for r in range(3):
+            counts[r] += e == r
+    return counts[0] - counts[2], counts[1] - counts[2]
 
 
 # --- four-photon quadrature sums -------------------------------------------
-
-
-def _p4_sums_numpy(weights: np.ndarray, phi: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
-    wphi = weights[:, None] * phi
-    i2 = float(np.sum(wphi * phi * weights[None, :]))
-    h = np.einsum("i,ij,ik->jk", weights * phase, phi, phi)
-    cross = float(np.real(np.einsum("j,k,jk->", weights, weights, h * np.conj(h))))
-    return i2, cross
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _p4_sums_jit(weights: np.ndarray, phi: np.ndarray, phase: np.ndarray) -> tuple[float, float]:  # pragma: no cover - jitted
-        n = weights.shape[0]
-        i2 = 0.0
-        for j in range(n):
-            for k in range(n):
-                i2 += weights[j] * weights[k] * phi[j, k] * phi[j, k]
-        cross = 0.0
-        for j in range(n):
-            for k in range(n):
-                h = 0.0 + 0.0j
-                for i in range(n):
-                    h += weights[i] * phase[i] * phi[i, j] * phi[i, k]
-                cross += weights[j] * weights[k] * (h.real * h.real + h.imag * h.imag)
-        return i2, cross
 
 
 def p4_sums(weights: np.ndarray, phi: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
@@ -173,9 +65,8 @@ def p4_sums(weights: np.ndarray, phi: np.ndarray, phase: np.ndarray) -> tuple[fl
     ``phi`` the sampled joint spectral amplitude, ``phase`` the per-node
     delay phase factors exp(-i omega_i dT).
     """
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
-    phase = np.ascontiguousarray(phase, dtype=np.complex128)
-    if numba_enabled():
-        return _p4_sums_jit(weights, phi, phase)
-    return _p4_sums_numpy(weights, phi, phase)
+    wphi = weights[:, None] * phi
+    i2 = float(np.sum(wphi * phi * weights[None, :]))
+    h = np.einsum("i,ij,ik->jk", weights * phase, phi, phi)
+    cross = float(np.real(np.einsum("j,k,jk->", weights, weights, h * np.conj(h))))
+    return i2, cross

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -238,6 +239,8 @@ def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> i
         raise ConfigError(f"invalid dip config: {exc}") from exc
     if x_steps < 2:
         raise ConfigError("--x-steps must be at least 2")
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ConfigError(f"--x-min and --x-max must be finite: {x_min}, {x_max}")
     xs = np.linspace(x_min, x_max, x_steps)
     rows = spectral.dip_curve(dip, xs)
     lines = [
@@ -340,6 +343,7 @@ def cmd_counts(cfg: dict, out: Path) -> int:
     acc_prob = {k: acc_rate[k] / rep_rate for k in counts_mod.PAIR_KEYS}
     acc4 = counts_mod.accidental_fourfold(acc_prob, p_pair) * pulses
     p4_counts = p4 * pulses
+    mu = counts_mod.mean_photon_number(model.pair_rate, eta, rep_rate) if model.pair_rate else None
     report = {
         "p4_probability_per_pulse": p4,
         "p4_predicted": p4_counts,
@@ -347,14 +351,8 @@ def cmd_counts(cfg: dict, out: Path) -> int:
         "acc_pairs_per_window": {k: v * tau for k, v in acc_rate.items()},
         "acc_fourfold": acc4,
         "corrected": counts_mod.subtract(p4_counts, acc4),
-        "mu": counts_mod.mean_photon_number(model.pair_rate, eta, rep_rate)
-        if model.pair_rate
-        else None,
-        "higher_order_ratio": counts_mod.higher_order_ratio(
-            counts_mod.mean_photon_number(model.pair_rate, eta, rep_rate), eta
-        )
-        if model.pair_rate
-        else None,
+        "mu": mu,
+        "higher_order_ratio": None if mu is None else counts_mod.higher_order_ratio(mu, eta),
     }
     dump_json(report, out / "counts.json")
     return 0

@@ -68,10 +68,6 @@ class CyclotomicInt:
     def norm_sq(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def real_doubled(self) -> int:
-        """2 * Re(a + b omega) = 2a - b, exactly."""
-        return 2 * self.a - self.b
-
     def to_complex(self) -> complex:
         return self.a + self.b * OMEGA
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ._checks import require_finite
+
 DETECTORS = ("A", "B", "C", "D")
 PAIR_KEYS = ("AB", "AC", "AD", "BC", "BD", "CD")
 
@@ -37,6 +39,9 @@ class RateModel:
     pairs: Mapping[str, float] = field(default_factory=dict)     # counts per tau_int
 
     def __post_init__(self) -> None:
+        scalars = {name: getattr(self, name) for name in ("rep_rate", "tau_int", "eta", "pair_rate")}
+        counts = {f"{name}[{k}]": v for name in ("singles", "pairs") for k, v in getattr(self, name).items()}
+        require_finite("rate model", **scalars, **counts)
         if self.rep_rate <= 0 or self.tau_int <= 0:
             raise ValueError("rep_rate and tau_int must be positive")
         if not 0.0 < self.eta <= 1.0:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -262,7 +263,7 @@ class ElementSpec:
         if self.kind in ("BEAM_SPLITTER", "PARITY_SORTER") and len(self.paths) != 2:
             raise ValueError(f"{self.kind} takes exactly 2 paths")
         object.__setattr__(self, "paths", tuple(self.paths))
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "paths": list(self.paths), "params": dict(self.params)}

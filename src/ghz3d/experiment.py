@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._checks import require_finite
 from .elements import (
     ElementSpec,
     Projector1,
@@ -81,8 +83,7 @@ class SourceAmplitudes:
     c2: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.c0, self.c1, self.c2))):
-            raise ValueError(f"source amplitudes must be finite: c0={self.c0}, c1={self.c1}, c2={self.c2}")
+        require_finite("source amplitudes", c0=self.c0, c1=self.c1, c2=self.c2)
         if min(self.c0, self.c1, self.c2) < 0:
             raise ValueError("source amplitudes must be non-negative")
         n = self.c0**2 + 2 * self.c1**2 + 2 * self.c2**2
@@ -127,18 +128,24 @@ class PipelineConfig:
         paths = (*self.source1_paths, *self.source2_paths)
         if len(set(paths)) != 4:
             raise ValueError("source paths must be four distinct paths")
+        cmp_ket = {} if self.cmp_ket is None else {int(k): complex(v) for k, v in self.cmp_ket.items()}
+        require_finite(
+            "pipeline config",
+            overlap=self.overlap,
+            swap_phase=self.sorter.swap_phase,
+            **{f"mirrors[{k}]": v for k, v in self.mirrors.items()},
+            **{f"cmp[{k}]": v for k, v in cmp_ket.items()},
+        )
         unknown = set(self.mirrors) - set(MIRROR_STATIONS)
         if unknown:
             raise ValueError(f"unknown mirror stations: {sorted(unknown)}")
         if any(int(n) < 0 for n in self.mirrors.values()):
             raise ValueError("mirror counts must be non-negative")
-        object.__setattr__(self, "mirrors", {k: int(v) for k, v in self.mirrors.items()})
+        object.__setattr__(self, "mirrors", MappingProxyType({k: int(v) for k, v in self.mirrors.items()}))
         object.__setattr__(self, "source1_paths", tuple(self.source1_paths))
         object.__setattr__(self, "source2_paths", tuple(self.source2_paths))
         if self.cmp_ket is not None:
-            object.__setattr__(
-                self, "cmp_ket", {int(k): complex(v) for k, v in self.cmp_ket.items()}
-            )
+            object.__setattr__(self, "cmp_ket", MappingProxyType(cmp_ket))
         if self.elements_override is not None:
             object.__setattr__(self, "elements_override", tuple(self.elements_override))
 
@@ -210,7 +217,7 @@ def _element_maps(cfg: PipelineConfig, tags: tuple[int, ...]) -> tuple[tuple[Ele
 
     Maps are identity-extended over all tracked modes, so a stray photon
     raises UnsupportedMode.  Built once per tag set and kept on the frozen
-    config, whose mapping fields must therefore not be mutated.
+    config, whose mapping fields are read-only, so the chain cannot go stale.
     """
     chain = cfg._chains.get(tags)
     if chain is None:

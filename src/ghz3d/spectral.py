@@ -33,6 +33,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import curve_fit
 
+from ._checks import require_finite
 from ._kernels import p4_sums
 
 C_LIGHT = 299_792_458.0  # m/s
@@ -98,8 +99,9 @@ class SpectralModel:
     lambda_c: float           # downconverted center wavelength, m
 
     def __post_init__(self) -> None:
-        for name in ("sigma_f", "sigma_p", "crystal_length", "delta_inv_gv", "lambda_c"):
-            if getattr(self, name) <= 0:
+        require_finite("spectral model", **vars(self))
+        for name, value in vars(self).items():
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
 
     @classmethod
@@ -131,13 +133,17 @@ class SpectralModel:
         return visibility(self.sigma_f, self.sigma_s)
 
 
-def _p4_quadrature(model: SpectralModel, delta_t: float, order: int) -> float:
+def _nodes(model: SpectralModel, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Hermite frequencies, effective weights and the JSA sampled on them."""
     x, w = hermgauss(order)
     # scale so the product-state diagonal decay matches the GH weight
     lam = 1.0 / math.sqrt(2.0 / model.sigma_f**2 + 2.0 / model.sigma_s**2)
     omega = lam * x
-    weights = lam * w * np.exp(x**2)
-    phi = model.jsa(omega[:, None], omega[None, :])
+    return omega, lam * w * np.exp(x**2), model.jsa(omega[:, None], omega[None, :])
+
+
+def _p4_quadrature(model: SpectralModel, delta_t: float, order: int) -> float:
+    omega, weights, phi = _nodes(model, order)
     phase = np.exp(-1j * omega * delta_t)
     i2, cross = p4_sums(weights, phi, phase)
     return 2.0 * (i2**2) - 2.0 * cross
@@ -169,11 +175,7 @@ def p4_numeric(
 
 def p4_limit(model: SpectralModel, order: int = DEFAULT_QUAD_ORDER) -> float:
     """Large-delay limit of P4: the oscillatory cross term averages out."""
-    x, w = hermgauss(order)
-    lam = 1.0 / math.sqrt(2.0 / model.sigma_f**2 + 2.0 / model.sigma_s**2)
-    omega = lam * x
-    weights = lam * w * np.exp(x**2)
-    phi = model.jsa(omega[:, None], omega[None, :])
+    _, weights, phi = _nodes(model, order)
     i2 = float(np.sum(weights[:, None] * weights[None, :] * phi * phi))
     return 2.0 * i2**2
 
@@ -200,6 +202,7 @@ class DipModel:
     center: float     # m
 
     def __post_init__(self) -> None:
+        require_finite("dip model", **vars(self))
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
         if self.width <= 0:

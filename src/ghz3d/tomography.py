@@ -27,6 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._checks import require_finite
+
 DIM = 3
 N_PARTIES = 3
 HILBERT = DIM**N_PARTIES
@@ -88,6 +90,8 @@ class NoiseParams:
     weights: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        weights = {f"weights[{i}]": w for i, w in enumerate(self.weights)}
+        require_finite("noise parameters", p=self.p, c=self.c, **weights)
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.c <= 1.0):
             raise ValueError("p and c must lie in [0, 1]")
         if all(w == 0 for w in self.weights):
@@ -328,6 +332,7 @@ class CountRecord:
     duration: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite("count record", counts=self.counts, duration=self.duration)
         if self.counts < 0:
             raise ValueError("counts must be non-negative")
 

@@ -69,6 +69,34 @@ def test_nonfinite_source_amplitude_exits_2(tmp_path, capsys):
     assert not (tmp_path / "state.json").exists()
 
 
+NONFINITE_RATES = dict(RATES, tau_int_s=math.nan)
+NONFINITE_COUNTS = dict(RATES, singles=dict(RATES["singles"], B=math.inf))
+
+
+@pytest.mark.parametrize(
+    "args,config,field",
+    [
+        (["witness"], {"noise": {"weights": [math.nan, 0.5, 0.5]}}, "weights[0]=nan"),
+        (["mermin"], {"noise": {"weights": [math.nan, 0.5, 0.5]}}, "weights[0]=nan"),
+        (["hom"], {"spectral": {"dip": {"width_m": math.nan}}}, "width=nan"),
+        (["hom"], {"spectral": {"dip": {"center_m": math.inf, "baseline_cps": math.nan}}}, "center=inf"),
+        (["hom"], {"spectral": {"sigma_f_hz": math.nan, "dip": {"visibility": 0.5}}}, "sigma_f=nan"),
+        (["hom", "--x-min", "nan"], {}, "--x-min"),
+        (["counts"], NONFINITE_RATES, "tau_int=nan"),
+        (["counts"], NONFINITE_COUNTS, "singles[B]=inf"),
+        (["simulate"], {"pipeline": {"cmp": {"0": math.nan, "-1": 1.0}}}, "cmp[0]=(nan+0j)"),
+        (["simulate"], {"pipeline": {"sorter": {"swap_phase": math.nan}}}, "swap_phase=(nan+0j)"),
+        (["simulate"], {"pipeline": {"mirrors": {"d": math.inf}}}, "mirrors[d]=inf"),
+    ],
+)
+def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # json writes NaN / Infinity literals
+    assert run([*args, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert field in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_hom_curve(tmp_path):
     from ghz3d.spectral import sigma_gvm
 

@@ -6,11 +6,12 @@ pipeline_oracle.py, which shares no code with the package.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from ghz3d import tomography
-from ghz3d.elements import Projector1
+from ghz3d.elements import ElementSpec, Projector1
 from ghz3d.experiment import (
     CROSS_BLOCKED,
     DETAILED_SETUP_MIRRORS,
@@ -79,6 +80,25 @@ def test_source_amplitudes_must_be_finite():
             SourceAmplitudes(*amps)
     with pytest.raises(ValueError):
         SourceAmplitudes.from_ratios(math.nan)
+
+
+def test_config_mappings_are_read_only():
+    cfg = PipelineConfig()
+    default_bcd = run_pipeline(cfg).bcd_state
+    spec = ElementSpec("PARITY_SORTER", ("B", "C"), {"odd_swaps": True})
+    for mapping, key in ((cfg.mirrors, "a_post_bs"), (cfg.cmp_ket, 0), (spec.params, "odd_swaps")):
+        with pytest.raises(TypeError):
+            mapping[key] = 0
+        with pytest.raises(TypeError):
+            del mapping[key]
+        with pytest.raises(AttributeError):  # no update, pop or clear either
+            mapping.update({key: 0})
+    assert run_pipeline(cfg).bcd_state == default_bcd
+    detailed = replace(cfg, mirrors=DETAILED_SETUP_MIRRORS)
+    assert detailed.mirrors == DETAILED_SETUP_MIRRORS and detailed != cfg
+    assert run_pipeline(detailed).bcd_state != default_bcd
+    assert replace(detailed, mirrors=cfg.mirrors) == cfg
+    assert replace(spec, paths=("C", "D")).params == {"odd_swaps": True}
 
 
 # --- the target GHZ state ---------------------------------------------------

@@ -1,9 +1,12 @@
-"""Byte identity of the ``ghz3d simulate`` artifacts across refactors.
+"""Byte identity of the CLI artifacts across refactors.
 
-The digests below were recorded from the implementation that rebuilt and
-re-checked every element map on each pass through the multi-port.  Compiling
-the chain once per configuration performs the same arithmetic per stage, so
-``state.json`` and ``report.json`` must not change by a single byte.
+The ``simulate`` digests were recorded from the implementation that rebuilt
+and re-checked every element map on each pass through the multi-port.
+Compiling the chain once per configuration performs the same arithmetic per
+stage, so ``state.json`` and ``report.json`` must not change by a single
+byte.  The digests of the other four subcommands were recorded from the
+implementation that still carried a second, jitted backend for the LR scan
+and the P4 sums; the numpy path they ran is the one that remains.
 """
 
 import hashlib
@@ -13,6 +16,8 @@ import pytest
 
 from ghz3d.cli import main, pipeline_config_from
 from ghz3d.experiment import DETAILED_SETUP_MIRRORS, classify_terms
+
+from test_cli import RATES
 
 CONFIGS = {
     "default": None,
@@ -25,6 +30,18 @@ CONFIGS = {
             "source1": {"c0_over_c1": 1.2, "c1_over_c2": 2.5},
         }
     },
+}
+
+# sha256 of each artifact of the default config and seed; ``counts`` reads
+# the documented rate file of docs/file-formats.md
+ARTIFACTS = {
+    "mermin": {"mermin.json": "4c7640a37b352518f24e65864185ab093d79fbf96b1e1d88bccaa275a12d645d"},
+    "witness": {
+        "witness.json": "0b00e0e3c73b2028198498d25fbd5e98825d18c7922bd5e86424a94bb403ba74",
+        "elements.csv": "9a7b9a3d550c4b1408bb187e018218642e603cce67d7201dae3594071329b840",
+    },
+    "hom": {"dip.csv": "20c2fba866a54e445823549204feeac6ebdf33635a29069d96bb03f2e4c1c216"},
+    "counts": {"counts.json": "7d3a460967f78462147516e39d90d54013770ac08f2cd8a909b36bea6c5876e6"},
 }
 
 # sha256 of (state.json, report.json)
@@ -62,6 +79,18 @@ def test_simulate_artifacts_byte_identical(name, tmp_path):
     assert main(args) == 0
     got = tuple(_sha256(tmp_path / "out" / f) for f in ("state.json", "report.json"))
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_artifacts_byte_identical(command, tmp_path):
+    args = [command, "--out", str(tmp_path / "out")]
+    if command == "counts":
+        rates = tmp_path / "rates.json"
+        rates.write_text(json.dumps(RATES))
+        args += ["--config", str(rates)]
+    assert main(args) == 0
+    got = {name: _sha256(tmp_path / "out" / name) for name in ARTIFACTS[command]}
+    assert got == ARTIFACTS[command]
 
 
 def test_classification_independent_of_earlier_configs():

@@ -1,4 +1,4 @@
-"""Backend parity: the jitted kernels and the numpy fallback must agree."""
+"""Hot kernels: the LR scan's layout and dtype, the P4 sums against loops."""
 
 import numpy as np
 import pytest
@@ -6,51 +6,29 @@ import pytest
 from ghz3d import _kernels as k
 
 
-def test_backend_selection_env(monkeypatch):
-    monkeypatch.setenv("GHZ3D_NUMBA", "0")
-    assert not k.numba_enabled()
-    assert k.backend_name() == "numpy"
-    monkeypatch.setenv("GHZ3D_NUMBA", "auto")
-    assert k.numba_enabled() == k.HAVE_NUMBA
+def test_lr_scan_is_int64():
+    a, b = k.lr_scan()
+    assert a.dtype == np.int64 and b.dtype == np.int64
+    assert a.shape == b.shape == (3**9,)
 
 
-def test_backend_force_numba(monkeypatch):
-    if not k.HAVE_NUMBA:
-        monkeypatch.setenv("GHZ3D_NUMBA", "1")
-        with pytest.raises(RuntimeError):
-            k.numba_enabled()
-    else:
-        monkeypatch.setenv("GHZ3D_NUMBA", "1")
-        assert k.numba_enabled()
-
-
-def test_lr_scan_backends_identical(monkeypatch):
-    monkeypatch.setenv("GHZ3D_NUMBA", "0")
-    a_np, b_np = k.lr_scan()
-    assert a_np.dtype == np.int64 and b_np.dtype == np.int64
-    if not k.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("GHZ3D_NUMBA", "1")
-    a_nb, b_nb = k.lr_scan()
-    assert np.array_equal(a_np, a_nb)
-    assert np.array_equal(b_np, b_nb)
-
-
-def test_p4_sums_backends_agree(monkeypatch):
+def test_p4_sums_match_python_loops():
     rng = np.random.default_rng(12)
-    n = 24
+    n = 7
     weights = rng.uniform(0.1, 1.0, size=n)
     phi = rng.uniform(0.0, 1.0, size=(n, n))
     phi = (phi + phi.T) / 2
     phase = np.exp(-1j * rng.uniform(-3, 3, size=n))
-    monkeypatch.setenv("GHZ3D_NUMBA", "0")
-    i2_np, cross_np = k.p4_sums(weights, phi, phase)
-    if not k.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("GHZ3D_NUMBA", "1")
-    i2_nb, cross_nb = k.p4_sums(weights, phi, phase)
-    assert i2_nb == pytest.approx(i2_np, rel=1e-12)
-    assert cross_nb == pytest.approx(cross_np, rel=1e-12)
+    i2 = 0.0
+    cross = 0.0
+    for j in range(n):
+        for kk in range(n):
+            i2 += weights[j] * weights[kk] * phi[j, kk] ** 2
+            h = sum(weights[i] * phase[i] * phi[i, j] * phi[i, kk] for i in range(n))
+            cross += weights[j] * weights[kk] * abs(h) ** 2
+    got_i2, got_cross = k.p4_sums(weights, phi, phase)
+    assert got_i2 == pytest.approx(i2, rel=1e-12)
+    assert got_cross == pytest.approx(cross, rel=1e-12)
 
 
 def test_lr_terms_layout():
