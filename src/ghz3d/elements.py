@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._checks import require_finite
 from .states import (
     ELL_MAX,
     LinearMap,
@@ -243,6 +245,19 @@ ELEMENT_KINDS = (
 )
 
 
+def _numbers(name: str, value: object) -> Iterator[tuple[str, complex]]:
+    """(name, number) for every number nested in a params value, e.g.
+    ``("matrix[1][2]", 0.5)``."""
+    if isinstance(value, Mapping):
+        for key, item in value.items():
+            yield from _numbers(f"{name}[{key}]", item)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for i, item in enumerate(value):
+            yield from _numbers(f"{name}[{i}]", item)
+    elif isinstance(value, numbers.Number):
+        yield name, value
+
+
 @dataclass(frozen=True)
 class ElementSpec:
     """Declarative description of one optical element, JSON-serializable.
@@ -262,8 +277,13 @@ class ElementSpec:
             raise ValueError("element needs at least one path")
         if self.kind in ("BEAM_SPLITTER", "PARITY_SORTER") and len(self.paths) != 2:
             raise ValueError(f"{self.kind} takes exactly 2 paths")
+        params = dict(self.params)
+        require_finite(
+            f"{self.kind} params",
+            **{name: v for key, value in params.items() for name, v in _numbers(str(key), value)},
+        )
         object.__setattr__(self, "paths", tuple(self.paths))
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        object.__setattr__(self, "params", MappingProxyType(params))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "paths": list(self.paths), "params": dict(self.params)}

@@ -83,11 +83,18 @@ class SourceAmplitudes:
     c2: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite("source amplitudes", c0=self.c0, c1=self.c1, c2=self.c2)
-        if min(self.c0, self.c1, self.c2) < 0:
+        amplitudes = {"c0": self.c0, "c1": self.c1, "c2": self.c2}
+        require_finite("source amplitudes", **amplitudes)
+        if min(amplitudes.values()) < 0:
             raise ValueError("source amplitudes must be non-negative")
+        tol = 1e-12
+        # the normalization bounds every amplitude by 1; rejecting larger ones
+        # first keeps the squares below from overflowing
+        too_large = [f"{name}={value}" for name, value in amplitudes.items() if value > 1.0 + tol]
+        if too_large:
+            raise ValueError(f"source amplitudes must not exceed 1: {', '.join(too_large)}")
         n = self.c0**2 + 2 * self.c1**2 + 2 * self.c2**2
-        if abs(n - 1.0) > 1e-12:
+        if abs(n - 1.0) > tol:
             raise ValueError(f"source amplitudes not normalized: {n}")
 
     @classmethod
@@ -99,8 +106,14 @@ class SourceAmplitudes:
     def from_ratios(cls, c0_over_c1: float, c1_over_c2: float = math.inf) -> "SourceAmplitudes":
         c1 = 1.0
         c0 = c0_over_c1
-        c2 = 0.0 if math.isinf(c1_over_c2) else c1 / c1_over_c2
-        n = math.sqrt(c0**2 + 2 * c1**2 + 2 * c2**2)
+        try:
+            c2 = 0.0 if math.isinf(c1_over_c2) else c1 / c1_over_c2
+            n = math.sqrt(c0**2 + 2 * c1**2 + 2 * c2**2)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(
+                "source amplitude ratios cannot be normalized: "
+                f"c0_over_c1={c0_over_c1}, c1_over_c2={c1_over_c2}"
+            ) from None
         return cls(c0 / n, c1 / n, c2 / n)
 
 

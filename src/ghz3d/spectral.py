@@ -25,13 +25,13 @@ the sigma_p -> infinity limit of the same integral.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import curve_fit
 
 from ._checks import require_finite
 from ._kernels import p4_sums
@@ -133,13 +133,23 @@ class SpectralModel:
         return visibility(self.sigma_f, self.sigma_s)
 
 
+@functools.cache
+def _hermite(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes x, weights w and exp(x^2) of one order."""
+    x, w = hermgauss(order)
+    arrays = (x, w, np.exp(x**2))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _nodes(model: SpectralModel, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Hermite frequencies, effective weights and the JSA sampled on them."""
-    x, w = hermgauss(order)
+    x, w, exp_x2 = _hermite(order)
     # scale so the product-state diagonal decay matches the GH weight
     lam = 1.0 / math.sqrt(2.0 / model.sigma_f**2 + 2.0 / model.sigma_s**2)
     omega = lam * x
-    return omega, lam * w * np.exp(x**2), model.jsa(omega[:, None], omega[None, :])
+    return omega, lam * w * exp_x2, model.jsa(omega[:, None], omega[None, :])
 
 
 def _p4_quadrature(model: SpectralModel, delta_t: float, order: int) -> float:
@@ -225,6 +235,9 @@ def fit_dip(samples: Sequence[tuple[float, float]]) -> DipModel:
 
     Round-trips noiseless dip_curve data to 1e-6 relative accuracy.
     """
+    # scipy takes about half a second to import and nothing else needs it
+    from scipy.optimize import curve_fit
+
     if len(samples) < 5:
         raise ValueError("need at least 5 samples spanning the dip")
     xs = np.asarray([s[0] for s in samples], dtype=float)

@@ -71,6 +71,12 @@ def test_nonfinite_source_amplitude_exits_2(tmp_path, capsys):
 
 NONFINITE_RATES = dict(RATES, tau_int_s=math.nan)
 NONFINITE_COUNTS = dict(RATES, singles=dict(RATES["singles"], B=math.inf))
+NAN_SORTER = {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {"swap_phase": math.nan}}
+NAN_UNITARY = {
+    "kind": "LOCAL_UNITARY",
+    "paths": ["B"],
+    "params": {"matrix": [[1, 0, 0], [0, math.nan, 0], [0, 0, 1]], "basis": [0, 1, -1]},
+}
 
 
 @pytest.mark.parametrize(
@@ -87,6 +93,12 @@ NONFINITE_COUNTS = dict(RATES, singles=dict(RATES["singles"], B=math.inf))
         (["simulate"], {"pipeline": {"cmp": {"0": math.nan, "-1": 1.0}}}, "cmp[0]=(nan+0j)"),
         (["simulate"], {"pipeline": {"sorter": {"swap_phase": math.nan}}}, "swap_phase=(nan+0j)"),
         (["simulate"], {"pipeline": {"mirrors": {"d": math.inf}}}, "mirrors[d]=inf"),
+        (["simulate"], {"pipeline": {"elements": [NAN_SORTER]}}, "swap_phase=nan"),
+        (["simulate"], {"pipeline": {"elements": [NAN_UNITARY]}}, "matrix[1][1]=nan"),
+        # finite, but beyond what the amplitude normalization can take
+        (["simulate"], {"pipeline": {"source1": {"c0": 1e200, "c1": 0.5}}}, "c0=1e+200"),
+        (["simulate"], {"pipeline": {"source1": {"c0_over_c1": 1e200}}}, "c0_over_c1=1e+200"),
+        (["simulate"], {"pipeline": {"source1": {"c0_over_c1": 1.0, "c1_over_c2": 0.0}}}, "c1_over_c2=0.0"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

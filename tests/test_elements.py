@@ -1,5 +1,7 @@
 """Optical element factories: conventions, unitarity, projections."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,12 @@ def test_element_spec_validation():
         ElementSpec("NOT_A_KIND", ("A",))
     with pytest.raises(ValueError):
         ElementSpec("MIRROR", ())
+
+
+def test_element_spec_rejects_nested_nonfinite_params():
+    matrix = np.eye(3, dtype=complex)
+    matrix[2, 0] = complex(0.0, math.inf)
+    with pytest.raises(ValueError, match=r"matrix\[2\]\[0\]=infj"):
+        ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": matrix, "basis": (0, 1, -1)})
+    with pytest.raises(ValueError, match=r"mapping\[1\]\[1\]\[0\]=nan"):
+        ElementSpec("RELABEL", ("B",), {"mapping": {1: (-1, [math.nan, 0.0])}})

@@ -82,6 +82,15 @@ def test_source_amplitudes_must_be_finite():
         SourceAmplitudes.from_ratios(math.nan)
 
 
+def test_source_amplitudes_beyond_normalization_rejected():
+    with pytest.raises(ValueError, match=r"c2=1e\+200"):
+        SourceAmplitudes(0.5, 0.5, 1e200)
+    with pytest.raises(ValueError, match=r"c1_over_c2=1e-200"):
+        SourceAmplitudes.from_ratios(1.0, 1e-200)
+    # within the normalization tolerance an amplitude may still exceed 1
+    assert SourceAmplitudes(1.0 + 4e-13, 0.0).c0 > 1.0
+
+
 def test_config_mappings_are_read_only():
     cfg = PipelineConfig()
     default_bcd = run_pipeline(cfg).bcd_state

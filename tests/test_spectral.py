@@ -1,10 +1,16 @@
 """Spectral model: widths, visibility closed form, quadrature, dip fits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
+import ghz3d
 from ghz3d import spectral as sp
 
 SGVM_REF = sp.sigma_gvm(1e-3, 1.6e-9)
@@ -121,6 +127,25 @@ def test_p4_convergence_guard():
     model = model_with_filter(2.0 * SGVM_REF)
     with pytest.raises(sp.QuadratureNotConverged):
         sp.p4_numeric(model, 0.0, order=4)
+
+
+def test_hermite_nodes_cached_and_read_only():
+    x, w, exp_x2 = sp._hermite(24)
+    assert sp._hermite(24)[0] is x
+    ref_x, ref_w = hermgauss(24)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert np.array_equal(exp_x2, np.exp(ref_x**2))
+    for a in (x, w, exp_x2):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only fit_dip needs scipy, and no subcommand calls it
+    env = dict(os.environ, PYTHONPATH=str(Path(ghz3d.__file__).parents[1]))
+    code = "import sys, ghz3d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- dip model and fitting ----------------------------------------------------------

@@ -3,6 +3,7 @@ reconstruction, the noise model, and simulated counting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghz3d import tomography as tm
 
@@ -156,12 +157,6 @@ def test_reconstruct_coincident_slot():
     assert abs(tm.reconstruct_element(rho, elem) - direct) < 1e-12
 
 
-def test_descriptor_round_trip():
-    for setting in tm.build_witness_plan():
-        for ket, desc in zip(setting.kets, setting.descriptors()):
-            assert tm.parse_descriptor(desc) == ket
-
-
 def test_noise_model_limits():
     pure = tm.noise_model(tm.NoiseParams(p=1.0, c=1.0, weights=(1.0, 1.0, 1.0)))
     _, ghz = tm.ideal_ghz()
@@ -277,3 +272,94 @@ def test_witness_plan_descriptors_unique():
     plan = tm.build_witness_plan()
     descriptors = [s.descriptors() for s in plan]
     assert len(set(descriptors)) == len(descriptors) == 219
+
+
+# --- the estimator against its per-setting reference ----------------------------
+
+
+def reference_estimate(counts, weights):
+    """The estimator element by element: the diagonal normalized by its total,
+    each witness element as the weighted sum over its 64 settings."""
+    w = np.asarray(weights, dtype=float)
+    w = w / np.linalg.norm(w)
+    diag_total = 0.0
+    diag = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                c = counts[(str(i), str(j), str(k))]
+                diag[i, j, k] = c
+                diag_total += c
+    if diag_total <= 0:
+        raise ValueError("no diagonal counts; cannot normalize")
+    f = sum(w[t] ** 2 * diag[t, t, t] for t in range(3)) / diag_total
+    for (bra, ket) in tm.WITNESS_ELEMENTS:
+        elem = 0j
+        for setting in tm.offdiag_projectors((bra, ket)):
+            elem += setting.weight * counts[setting.descriptors()] / diag_total
+        f += 2.0 * w[bra[0]] * w[ket[0]] * elem.real
+    return float(f)
+
+
+def reference_fidelity(records, weights, n_resamples, seed, accidentals=None):
+    """estimate_fidelity with every resample re-evaluated by reference_estimate."""
+    observed = {}
+    for rec in records:
+        value = rec.counts
+        if accidentals is not None:
+            value = max(value - accidentals.get(rec.descriptors, 0.0), 0.0)
+        observed[rec.descriptors] = observed.get(rec.descriptors, 0.0) + value
+    keys = sorted(observed)
+    lam = np.array([observed[k] for k in keys], dtype=float)
+    estimates = []
+    for s in range(n_resamples):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([np.uint64(seed), np.uint64(s)], dtype=np.uint64))
+        )
+        estimates.append(reference_estimate(dict(zip(keys, rng.poisson(lam).astype(float))), weights))
+    return reference_estimate(observed, weights), float(np.std(estimates))
+
+
+def test_estimator_matches_per_setting_reference():
+    plan = tm.build_witness_plan()
+    rng = np.random.default_rng(21)
+    for case in range(6):
+        params = tm.NoiseParams(rng.uniform(), rng.uniform(), tuple(rng.uniform(0.1, 1.0, 3)))
+        records = tm.simulate_counts(tm.noise_model(params), plan, 500 + 4000 * case, seed=case)
+        if case % 3 == 2:  # duplicate descriptors are summed
+            records = records + records[::7]
+        weights = tuple(rng.uniform(0.1, 1.0, 3))
+        accidentals = {r.descriptors: rng.uniform(0.0, 3.0) for r in records} if case % 2 else None
+        got = tm.estimate_fidelity(records, weights, n_resamples=30, seed=100 + case, accidentals=accidentals)
+        want = reference_fidelity(records, weights, 30, 100 + case, accidentals)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_estimator_reference_values_at_witness_cli_inputs():
+    rho = tm.noise_model(tm.NoiseParams.table1())
+    records = tm.simulate_counts(rho, tm.build_witness_plan(), 1652, seed=333)
+    f_est, sigma = tm.estimate_fidelity(records, seed=334)
+    assert (repr(f_est), repr(sigma)) == ("0.7442528735632186", "0.049013199920460465")
+
+
+def test_estimator_needs_every_plan_setting():
+    records = tm.simulate_counts(tm.noise_model(tm.NoiseParams.table1()), tm.build_witness_plan(), 1652)
+    with pytest.raises(KeyError):
+        tm.estimate_fidelity(records[:-1], n_resamples=0)
+
+
+WITNESS_PLAN = tm.build_witness_plan()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(0.0, 1.0),
+    c=st.floats(0.0, 1.0),
+    state_weights=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+    weights=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda w: max(map(abs, w)) > 0.1),
+)
+def test_unsampled_estimate_is_the_fidelity(p, c, state_weights, weights):
+    rho = tm.noise_model(tm.NoiseParams(p, c, state_weights))
+    records = tm.simulate_counts(rho, WITNESS_PLAN, 1e4, sample=False)
+    f_est, _ = tm.estimate_fidelity(records, weights, n_resamples=0)
+    assert f_est == pytest.approx(tm.fidelity(rho, tm.ideal_ghz(weights)[0]), abs=1e-10)
