@@ -40,6 +40,11 @@ class ConfigError(ValueError):
     """Invalid or unreadable configuration input."""
 
 
+#: what reading a malformed config value raises: a wrong type, a bad value, a
+#: missing key, or an int too large for a float
+_BAD_INPUT = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
 # --- deterministic serialization -------------------------------------------
 
 
@@ -70,7 +75,7 @@ def dump_json(obj: Any, path: Path) -> None:
 def state_to_dict(state: PhotonicState) -> dict:
     """JSON form of a photonic state (the debugging dump schema)."""
     return {
-        "convention": state.convention,
+        "convention": "monomial",  # the only one; kept so dumps stay byte-stable
         "photon_number": state.photon_number,
         "terms": [
             {
@@ -94,7 +99,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -114,10 +119,8 @@ def _source_from(cfg: Mapping[str, Any] | None) -> SourceAmplitudes:
 
 
 def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
-    p = cfg.get("pipeline", {})
-    if not isinstance(p, Mapping):
-        raise ConfigError("pipeline section must be an object")
     try:
+        p = cfg.get("pipeline", {})
         sorter_cfg = p.get("sorter", {})
         sorter = SorterConvention(
             odd_swaps=bool(sorter_cfg.get("odd_swaps", True)),
@@ -142,7 +145,7 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
             include_c2=bool(p.get("include_c2", False)),
             **kwargs,
         )
-    except (TypeError, ValueError, KeyError) as exc:
+    except _BAD_INPUT as exc:
         raise ConfigError(f"invalid pipeline config: {exc}") from exc
 
 
@@ -157,7 +160,7 @@ def spectral_model_from(cfg: Mapping[str, Any]) -> spectral.SpectralModel:
             delta_inv_gv=float(s.get("delta_inv_gv_s_per_m", base.delta_inv_gv)),
             lambda_c=float(s.get("lambda_c_m", base.lambda_c)),
         )
-    except (TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise ConfigError(f"invalid spectral config: {exc}") from exc
 
 
@@ -171,7 +174,7 @@ def noise_params_from(cfg: Mapping[str, Any]) -> tomography.NoiseParams:
             c=float(n.get("c", base.c)),
             weights=tuple(float(w) for w in weights),
         )
-    except (TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise ConfigError(f"invalid noise config: {exc}") from exc
 
 
@@ -224,18 +227,18 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> int:
     model = spectral_model_from(cfg)
-    dip_cfg = cfg.get("spectral", {}).get("dip", {})
-    vis = dip_cfg.get("visibility")
-    if vis is None:
-        vis = spectral.visibility(model.sigma_f, model.sigma_gvm)
     try:
+        dip_cfg = cfg.get("spectral", {}).get("dip", {})
+        vis = dip_cfg.get("visibility")
+        if vis is None:
+            vis = spectral.visibility(model.sigma_f, model.sigma_gvm)
         dip = spectral.DipModel(
             baseline=float(dip_cfg.get("baseline_cps", 1.0)),
             visibility=float(vis),
             width=float(dip_cfg.get("width_m", 800e-6)),
             center=float(dip_cfg.get("center_m", 0.0)),
         )
-    except (TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise ConfigError(f"invalid dip config: {exc}") from exc
     if x_steps < 2:
         raise ConfigError("--x-steps must be at least 2")
@@ -322,7 +325,7 @@ def cmd_counts(cfg: dict, out: Path) -> int:
             singles=singles,
             pairs=pairs,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise ConfigError(f"invalid rate file: {exc}") from exc
     missing = [k for k in counts_mod.PAIR_KEYS if k not in pairs]
     if missing:

@@ -1,9 +1,9 @@
 """Factories for the linear-optical elements of the multi-port.
 
 Every factory returns a :class:`~ghz3d.states.LinearMap` over an explicit
-mode space: the caller chooses which paths, OAM values and tags the map
-supports (identity on absent modes is never implied).  Default OAM range is
-the full tracked window |l| <= ELL_MAX and the single default tag 0.
+mode space: the caller chooses which paths and tags the map supports
+(identity on absent modes is never implied).  Every map covers the tracked
+OAM window ``ELLS`` (|l| <= ELL_MAX); the default tag is 0.
 
 Conventions declared once, here:
 
@@ -18,12 +18,11 @@ Conventions declared once, here:
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,58 +35,42 @@ from .states import (
 )
 
 DEFAULT_TAGS = (0,)
+ELLS = tuple(range(-ELL_MAX, ELL_MAX + 1))  # the tracked OAM window
 
 
 class NotUnitary(ValueError):
     """Matrix handed to local_unitary is not unitary."""
 
 
-def _ells(ells: Iterable[int] | None) -> tuple[int, ...]:
-    if ells is None:
-        return tuple(range(-ELL_MAX, ELL_MAX + 1))
-    return tuple(ells)
-
-
-def mirror(
-    path: str, ells: Iterable[int] | None = None, tags: Sequence[int] = DEFAULT_TAGS
-) -> LinearMap:
+def mirror(path: str, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
     """Reflection: flips the OAM sign on one path.  Involution."""
     entries = {}
-    for ell in _ells(ells):
+    for ell in ELLS:
         for t in tags:
             entries[ModeLabel(path, ell, t)] = ((ModeLabel(path, -ell, t), 1.0),)
     return LinearMap(entries, unitary=True)
 
 
-def spp_reflect(
-    path: str, ells: Iterable[int] | None = None, tags: Sequence[int] = DEFAULT_TAGS
-) -> LinearMap:
+def spp_reflect(path: str, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
     """Reflection combined with a charge-2 spiral phase plate: l -> -l + 2.
 
     Supported on |l| <= ELL_MAX - 2 so the image stays inside the tracked
     OAM window; an involution on its support.
     """
-    if ells is None:
-        ells = range(-(ELL_MAX - 2), ELL_MAX - 2 + 1)
     entries = {}
-    for ell in ells:
+    for ell in range(-(ELL_MAX - 2), ELL_MAX - 2 + 1):
         for t in tags:
             entries[ModeLabel(path, ell, t)] = ((ModeLabel(path, -ell + 2, t), 1.0),)
     return LinearMap(entries, unitary=True)
 
 
-def beam_splitter(
-    p1: str,
-    p2: str,
-    ells: Iterable[int] | None = None,
-    tags: Sequence[int] = DEFAULT_TAGS,
-) -> LinearMap:
+def beam_splitter(p1: str, p2: str, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
     """Symmetric 50/50 beam splitter combining two paths, per (OAM, tag)."""
     if p1 == p2:
         raise ValueError("beam splitter needs two distinct paths")
     s = 1.0 / math.sqrt(2.0)
     entries = {}
-    for ell in _ells(ells):
+    for ell in ELLS:
         for t in tags:
             m1 = ModeLabel(p1, ell, t)
             m2 = ModeLabel(p2, ell, t)
@@ -112,7 +95,6 @@ def parity_sorter(
     p1: str,
     p2: str,
     convention: SorterConvention = SorterConvention(),
-    ells: Iterable[int] | None = None,
     tags: Sequence[int] = DEFAULT_TAGS,
 ) -> LinearMap:
     """Interferometric sorter routing photons by OAM parity.
@@ -124,7 +106,7 @@ def parity_sorter(
         raise ValueError("parity sorter needs two distinct paths")
     convention.validate()
     entries = {}
-    for ell in _ells(ells):
+    for ell in ELLS:
         crosses = (ell % 2 == 1) == convention.odd_swaps
         for t in tags:
             m1 = ModeLabel(p1, ell, t)
@@ -164,7 +146,7 @@ def local_unitary(
                 if u[j, k] != 0
             )
             entries[ModeLabel(path, ell, t)] = image
-        for ell in _ells(None):
+        for ell in ELLS:
             m = ModeLabel(path, ell, t)
             if m not in entries:
                 entries[m] = ((m, 1.0),)
@@ -228,7 +210,7 @@ def project(proj: Projector1, state: PhotonicState) -> tuple[PhotonicState, floa
         for ell, c in proj.ket:
             key = tuple(sorted(rest + (ModeLabel(proj.path, ell, mode.tag),)))
             out[key] = out.get(key, 0.0) + amp * c
-    projected = PhotonicState(out, state.convention).prune()
+    projected = PhotonicState(out).prune()
     if projected.is_zero:
         return projected, 0.0
     prob = projected.norm() ** 2
@@ -291,13 +273,6 @@ class ElementSpec:
     @classmethod
     def from_dict(cls, d: Mapping[str, object]) -> "ElementSpec":
         return cls(str(d["kind"]), tuple(d.get("paths", ())), dict(d.get("params", {})))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ElementSpec":
-        return cls.from_dict(json.loads(s))
 
 
 def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:

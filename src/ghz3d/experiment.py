@@ -31,6 +31,7 @@ import numpy as np
 
 from ._checks import require_finite
 from .elements import (
+    ELLS,
     ElementSpec,
     Projector1,
     SorterConvention,
@@ -38,7 +39,6 @@ from .elements import (
     project,
 )
 from .states import (
-    ELL_MAX,
     LinearMap,
     ModeLabel,
     PhotonicState,
@@ -234,8 +234,7 @@ def _element_maps(cfg: PipelineConfig, tags: tuple[int, ...]) -> tuple[tuple[Ele
     """
     chain = cfg._chains.get(tags)
     if chain is None:
-        ells = range(-ELL_MAX, ELL_MAX + 1)
-        all_modes = {ModeLabel(p, ell, t) for p in cfg.detector_paths for ell in ells for t in tags}
+        all_modes = {ModeLabel(p, ell, t) for p in cfg.detector_paths for ell in ELLS for t in tags}
         chain = tuple(
             (spec, extend_identity(build_element(spec, tags=tags), all_modes))
             for spec in pipeline_elements(cfg)
@@ -340,7 +339,7 @@ def factor_single_path(
                 return None
         rest_amps[rest] = scale
     a_state = PhotonicState({(m,): a for m, a in ref_vec.items()}).normalize()
-    rest_state = PhotonicState(rest_amps, state.convention).normalize()
+    rest_state = PhotonicState(rest_amps).normalize()
     return a_state, rest_state
 
 
@@ -376,7 +375,7 @@ def _run_once(
             if all((m.path, m.oam) in support for m in term.occupation)
         }
         weight = sum(abs(a) ** 2 for a in kept.values())
-        selected = PhotonicState(kept, selected.convention)
+        selected = PhotonicState(kept)
         p_select *= weight
         if not selected.is_zero:
             selected = selected.normalize()
@@ -512,17 +511,6 @@ class TermClassification:
     def count(self, verdict: str) -> int:
         return sum(1 for r in self.combos.values() if r.verdict == verdict)
 
-    def survivors(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(k for k, r in self.combos.items() if r.verdict == SURVIVES))
-
-
-def _combo_probability(
-    cfg: PipelineConfig, kinds: tuple[str, str], tags: tuple[int, int], with_cmp: bool
-) -> float:
-    a = cfg.source1_paths[0]
-    cmp = {a: Projector1.of(a, cfg.cmp_ket)} if with_cmp and cfg.cmp_ket is not None else {}
-    return _projected_fourfold(cfg, cmp, tags, kinds)
-
 
 def _sorter_parity_blocked(cfg: PipelineConfig, kinds: tuple[str, str]) -> bool:
     """True when the sorter alone already precludes one photon per path."""
@@ -549,12 +537,14 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
     changes for distinguishable photons) and whether the CMP is what blocks
     the four-fold event.
     """
+    a = cfg.source1_paths[0]
+    cmp = {} if cfg.cmp_ket is None else {a: Projector1.of(a, cfg.cmp_ket)}
     reports: dict[tuple[str, str], ComboReport] = {}
     for k1 in TERM_KINDS:
         for k2 in TERM_KINDS:
             kinds = (k1, k2)
-            p_ind = _combo_probability(cfg, kinds, (0, 0), with_cmp=True)
-            p_dis = _combo_probability(cfg, kinds, (1, 2), with_cmp=True)
+            p_ind = _projected_fourfold(cfg, cmp, (0, 0), kinds)
+            p_dis = _projected_fourfold(cfg, cmp, (1, 2), kinds)
             hom = abs(p_ind - p_dis) > 1e-12
             if p_ind > 1e-12:
                 verdict = SURVIVES
@@ -564,7 +554,7 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
                 cmp_blocked = False
             else:
                 verdict = CROSS_BLOCKED
-                p_nocmp = _combo_probability(cfg, kinds, (0, 0), with_cmp=False)
+                p_nocmp = _projected_fourfold(cfg, {}, (0, 0), kinds)
                 cmp_blocked = p_nocmp > 1e-12
             reports[kinds] = ComboReport(verdict, hom, cmp_blocked, p_ind)
     return TermClassification(reports)

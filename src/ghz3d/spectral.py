@@ -2,9 +2,8 @@
 photon pairs born in separate crystals, and the four-photon dip it predicts.
 
 All spectral widths are 1/e half-widths in ordinary frequency (Hz), i.e. the
-sigma of exp(-(w/sigma)^2); FWHM conversions are provided as helpers.  The
-sinc phase-matching profile is replaced by a Gaussian of equal FWHM, giving
-the factorization-scale width
+sigma of exp(-(w/sigma)^2).  The sinc phase-matching profile is replaced by
+a Gaussian of equal FWHM, giving the factorization-scale width
 
     sigma_gvm = 2 / (sqrt(5) * L * (1/v_pump - 1/v_downconverted)),
 
@@ -68,15 +67,6 @@ def bandwidth_to_wavelength(delta_nu: float, lambda_c: float) -> float:
 def wavelength_to_bandwidth(delta_lambda: float, lambda_c: float) -> float:
     """Convert a wavelength bandwidth (m) at lambda_c to frequency units (Hz)."""
     return C_LIGHT * delta_lambda / lambda_c**2
-
-
-def fwhm_to_sigma(fwhm: float) -> float:
-    """1/e half-width of a Gaussian exp(-(x/sigma)^2) with the given FWHM."""
-    return fwhm / (2.0 * math.sqrt(math.log(2.0)))
-
-
-def sigma_to_fwhm(sigma: float) -> float:
-    return sigma * 2.0 * math.sqrt(math.log(2.0))
 
 
 def visibility(sigma_f: float, sigma_gvm_: float) -> float:

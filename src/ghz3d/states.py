@@ -5,15 +5,10 @@ creation-operator monomials acting on the vacuum; linear-optical elements are
 mode-to-superposition substitution maps.  Bosonic statistics (HOM bunching,
 stimulated terms) fall out of the polynomial algebra automatically.
 
-Two amplitude conventions exist:
-
-* ``monomial`` -- amplitudes are coefficients of creation-operator monomials,
-  so a term ``a (a†_m)^2 |0>`` stores amplitude ``a``.
-* ``normalized-fock`` -- amplitudes include the 1/sqrt(n!) Fock normalization,
-  i.e. they are coefficients of orthonormal Fock kets.
-
-All algebra is done on monomial coefficients; the Fock normalization
-``sqrt(prod n_m!)`` is applied only at amplitude extraction and norms.
+Amplitudes are coefficients of creation-operator monomials: a term
+``a (a†_m)^2 |0>`` stores amplitude ``a``.  All algebra is done on these
+coefficients; the Fock normalization ``sqrt(prod n_m!)`` enters only in
+:meth:`PhotonicState.fock_amplitude`, norms and inner products.
 
 Everything here is an immutable value; all operations are pure functions.
 """
@@ -25,9 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 ELL_MAX = 5  # largest |OAM| quantum number tracked by the simulator
-
-MONOMIAL = "monomial"
-NORMALIZED_FOCK = "normalized-fock"
 
 PRUNE_EPS = 1e-14  # amplitude pruning threshold after each map application
 
@@ -93,15 +85,11 @@ def _occupation_factorial(occ: Occupation) -> float:
 class PhotonicState:
     """A finite superposition of same-photon-number Fock terms."""
 
-    __slots__ = ("_terms", "convention")
+    __slots__ = ("_terms",)
 
     def __init__(
-        self,
-        terms: Mapping[Occupation, complex] | Iterable[tuple[Occupation, complex]],
-        convention: str = MONOMIAL,
+        self, terms: Mapping[Occupation, complex] | Iterable[tuple[Occupation, complex]]
     ) -> None:
-        if convention not in (MONOMIAL, NORMALIZED_FOCK):
-            raise ValueError(f"unknown convention {convention!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[Occupation, complex] = {}
         for occ, amp in items:
@@ -117,7 +105,6 @@ class PhotonicState:
         if len(sizes) > 1:
             raise ValueError(f"inhomogeneous photon numbers: {sorted(sizes)}")
         self._terms = merged
-        self.convention = convention
 
     @classmethod
     def vacuum(cls) -> "PhotonicState":
@@ -153,29 +140,20 @@ class PhotonicState:
     def modes(self) -> set[ModeLabel]:
         return {m for occ in self._terms for m in occ}
 
-    def amplitude(self, occupation: Iterable[ModeLabel], convention: str | None = None) -> complex:
-        """Stored amplitude of an occupation in the requested convention (0 if absent)."""
+    def amplitude(self, occupation: Iterable[ModeLabel]) -> complex:
+        """Monomial coefficient of an occupation (0 if absent)."""
+        return self._terms.get(_canonical(occupation), 0.0)
+
+    def fock_amplitude(self, occupation: Iterable[ModeLabel]) -> complex:
+        """Coefficient of the normalized Fock ket: amplitude * sqrt(prod n_m!)."""
         occ = _canonical(occupation)
-        amp = self._terms.get(occ, 0.0)
-        if amp == 0:
-            return 0.0
-        want = convention or self.convention
-        if want == self.convention:
-            return amp
-        factor = math.sqrt(_occupation_factorial(occ))
-        if self.convention == MONOMIAL and want == NORMALIZED_FOCK:
-            return amp * factor
-        return amp / factor
+        return self._terms.get(occ, 0.0) * math.sqrt(_occupation_factorial(occ))
 
     def norm(self) -> float:
         """Physical (Fock) norm of the state."""
-        total = 0.0
-        for occ, amp in self._terms.items():
-            w = abs(amp) ** 2
-            if self.convention == MONOMIAL:
-                w *= _occupation_factorial(occ)
-            total += w
-        return math.sqrt(total)
+        return math.sqrt(
+            sum(abs(amp) ** 2 * _occupation_factorial(occ) for occ, amp in self._terms.items())
+        )
 
     def normalize(self) -> "PhotonicState":
         n = self.norm()
@@ -184,26 +162,16 @@ class PhotonicState:
         return self.scale(1.0 / n)
 
     def scale(self, factor: complex) -> "PhotonicState":
-        return PhotonicState(
-            {occ: amp * factor for occ, amp in self._terms.items()}, self.convention
-        )
+        return PhotonicState({occ: amp * factor for occ, amp in self._terms.items()})
 
-    def to_convention(self, convention: str) -> "PhotonicState":
-        if convention == self.convention:
-            return self
-        return PhotonicState(
-            {occ: self.amplitude(occ, convention) for occ in self._terms}, convention
-        )
-
-    def prune(self, eps: float = PRUNE_EPS) -> "PhotonicState":
-        return PhotonicState(
-            {occ: a for occ, a in self._terms.items() if abs(a) > eps}, self.convention
-        )
+    def prune(self) -> "PhotonicState":
+        """Drop terms with |amplitude| <= PRUNE_EPS."""
+        return PhotonicState({occ: a for occ, a in self._terms.items() if abs(a) > PRUNE_EPS})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhotonicState):
             return NotImplemented
-        return self.convention == other.convention and self._terms == other._terms
+        return self._terms == other._terms
 
     def __repr__(self) -> str:
         parts = []
@@ -211,7 +179,7 @@ class PhotonicState:
             modes = ",".join(f"{m.path}:{m.oam}" + (f"#{m.tag}" if m.tag else "") for m in occ)
             parts.append(f"({self._terms[occ]:.4g})|{modes}>")
         more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
-        return f"PhotonicState[{self.convention}] " + " + ".join(parts) + more
+        return "PhotonicState " + " + ".join(parts) + more
 
 
 @dataclass(frozen=True)
@@ -299,9 +267,8 @@ def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:
     Raises UnsupportedMode if the state occupies a mode missing from the
     map support; identity on absent modes is never assumed.
     """
-    work = state if state.convention == MONOMIAL else state.to_convention(MONOMIAL)
     out: dict[Occupation, complex] = {}
-    for occ, amp in work._terms.items():
+    for occ, amp in state._terms.items():
         partial: list[tuple[list[ModeLabel], complex]] = [([], amp)]
         for mode in occ:
             image = m.image(mode)
@@ -313,16 +280,11 @@ def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:
         for modes, a in partial:
             key = _canonical(modes)
             out[key] = out.get(key, 0.0) + a
-    result = PhotonicState(out, MONOMIAL).prune()
-    if state.convention != MONOMIAL:
-        result = result.to_convention(state.convention)
-    return result
+    return PhotonicState(out).prune()
 
 
 def tensor(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
     """Product state of two states on disjoint path sets."""
-    if s1.convention != s2.convention:
-        raise ValueError("tensor requires matching amplitude conventions")
     shared = s1.paths() & s2.paths()
     if shared:
         raise PathCollision(f"paths occupied on both factors: {sorted(shared)}")
@@ -330,7 +292,7 @@ def tensor(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
     for occ1, a1 in s1._terms.items():
         for occ2, a2 in s2._terms.items():
             out[_canonical(occ1 + occ2)] = a1 * a2
-    return PhotonicState(out, s1.convention)
+    return PhotonicState(out)
 
 
 def postselect(
@@ -350,11 +312,10 @@ def postselect(
             continue
         kept[occ] = amp
     if not kept:
-        return PhotonicState({}, state.convention), 0.0
-    # selected terms are singly occupied, so monomial == normalized-fock
+        return PhotonicState({}), 0.0
+    # selected terms are singly occupied, so the Fock factor is 1
     prob = sum(abs(a) ** 2 for a in kept.values())
-    selected = PhotonicState(kept, state.convention)
-    return selected.normalize(), prob
+    return PhotonicState(kept).normalize(), prob
 
 
 def inner(s1: PhotonicState, s2: PhotonicState) -> complex:
@@ -364,12 +325,7 @@ def inner(s1: PhotonicState, s2: PhotonicState) -> complex:
         a1 = s1._terms.get(occ)
         if a1 is None:
             continue
-        w = a1.conjugate() * a2
-        if s1.convention == MONOMIAL:
-            w *= math.sqrt(_occupation_factorial(occ))
-        if s2.convention == MONOMIAL:
-            w *= math.sqrt(_occupation_factorial(occ))
-        total += w
+        total += a1.conjugate() * a2 * _occupation_factorial(occ)
     return total
 
 

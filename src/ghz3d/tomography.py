@@ -3,8 +3,7 @@ witness, its projective measurement decomposition, simulated counting and
 Monte-Carlo error bars.
 
 Party order is (B, C, D); a product ket |i j k> maps to index 9i + 3j + k
-of a 27-component vector.  Logical levels 0, 1, 2 per party are tied to
-physical OAM values by a :class:`PartyBasis`.
+of a 27-component vector.
 
 Every off-diagonal element needed by the witness is reconstructed from 64
 projective settings: each party is measured in one of the four two-level
@@ -27,6 +26,7 @@ resample costs one draw and two dot products.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -62,24 +62,6 @@ def check_density_matrix(rho: np.ndarray, eig_tol: float = 1e-8) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PartyBasis:
-    """Physical OAM values of logical levels 0, 1, 2 for parties B, C, D."""
-
-    b: tuple[int, int, int] = (2, 3, -1)
-    c: tuple[int, int, int] = (0, 1, -1)
-    d: tuple[int, int, int] = (0, 1, -1)
-
-    def __post_init__(self) -> None:
-        for labels in (self.b, self.c, self.d):
-            if len(set(labels)) != 3:
-                raise ValueError("party labels must be distinct")
-
-    @property
-    def parties(self) -> tuple[tuple[int, int, int], ...]:
-        return (self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
 class NoiseParams:
     """Quality parameters of the produced state, as :func:`noise_model` uses them.
 
@@ -99,8 +81,12 @@ class NoiseParams:
         require_finite("noise parameters", p=self.p, c=self.c, **weights)
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.c <= 1.0):
             raise ValueError("p and c must lie in [0, 1]")
-        if all(w == 0 for w in self.weights):
-            raise ValueError("weights must not all vanish")
+        if len(self.weights) != 3:
+            raise ValueError(f"need three weights, got {len(self.weights)}")
+        # the GHZ normalization needs a sum of squares that is a normal float
+        squares = sum(w * w for w in self.weights)
+        if not sys.float_info.min <= squares < math.inf:
+            raise ValueError(f"weights cannot be normalized: sum of squares {squares}")
 
     @classmethod
     def table1(cls) -> "NoiseParams":
@@ -201,8 +187,7 @@ class PlanSetting:
     """One joint projective setting with its reconstruction weight."""
 
     kets: tuple[ProjKet, ProjKet, ProjKet]
-    weight: complex = 0.0          # contribution to the element estimate
-    element: tuple[tuple[int, int, int], tuple[int, int, int]] | None = None
+    weight: complex = 0.0  # contribution to the element estimate
 
     def descriptors(self) -> tuple[str, str, str]:
         return tuple(k.descriptor() for k in self.kets)  # type: ignore[return-value]
@@ -247,9 +232,7 @@ def offdiag_projectors(
     for k0, w0 in per_slot[0]:
         for k1, w1 in per_slot[1]:
             for k2, w2 in per_slot[2]:
-                settings.append(
-                    PlanSetting(kets=(k0, k1, k2), weight=w0 * w1 * w2, element=(bra, ket))
-                )
+                settings.append(PlanSetting(kets=(k0, k1, k2), weight=w0 * w1 * w2))
     assert len(settings) == 64
     return tuple(settings)
 

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ghz3d.cli import main
 
@@ -53,6 +54,8 @@ def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["simulate", "--config", bad, "--out", tmp_path]) == 2
+    bad.write_text('{"noise": {"p": 1' + "0" * 5000 + "}}")  # past Python's int digit limit
+    assert run(["witness", "--config", bad, "--out", tmp_path]) == 2
 
 
 def test_invalid_pipeline_value_exits_2(tmp_path):
@@ -69,6 +72,7 @@ def test_nonfinite_source_amplitude_exits_2(tmp_path, capsys):
     assert not (tmp_path / "state.json").exists()
 
 
+BIG = 10**400  # a JSON integer too large for a float
 NONFINITE_RATES = dict(RATES, tau_int_s=math.nan)
 NONFINITE_COUNTS = dict(RATES, singles=dict(RATES["singles"], B=math.inf))
 NAN_SORTER = {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {"swap_phase": math.nan}}
@@ -99,6 +103,16 @@ NAN_UNITARY = {
         (["simulate"], {"pipeline": {"source1": {"c0": 1e200, "c1": 0.5}}}, "c0=1e+200"),
         (["simulate"], {"pipeline": {"source1": {"c0_over_c1": 1e200}}}, "c0_over_c1=1e+200"),
         (["simulate"], {"pipeline": {"source1": {"c0_over_c1": 1.0, "c1_over_c2": 0.0}}}, "c1_over_c2=0.0"),
+        # integers too large for a float
+        (["witness"], {"noise": {"p": BIG}}, "invalid noise config"),
+        (["simulate"], {"pipeline": {"mirrors": {"d": BIG}}}, "mirrors[d]=1000"),
+        (["hom"], {"spectral": {"sigma_f_hz": BIG}}, "invalid spectral config"),
+        (["simulate"], {"pipeline": {"overlap": BIG}}, "invalid pipeline config"),
+        (["hom"], {"spectral": {"dip": {"width_m": BIG}}}, "invalid dip config"),
+        (["counts"], dict(RATES, eta=BIG), "invalid rate file"),
+        # finite weights whose sum of squares a float cannot hold
+        (["mermin"], {"noise": {"weights": [1e200, 1e200, 1e200]}}, "weights cannot be normalized"),
+        (["witness"], {"noise": {"weights": [1e-200, 0.0, 0.0]}}, "weights cannot be normalized"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):
@@ -227,3 +241,88 @@ def test_witness_white_noise_fails(tmp_path):
     report = json.loads((tmp_path / "witness.json").read_text())
     assert report["pass"] is False
     assert report["F"] < 0.2
+
+
+# --- fuzzed configs -------------------------------------------------------------
+
+# wrong types, huge ints, NaN/inf and unbounded floats, mixed with plain values
+# that every field accepts so that whole runs are reached too
+JUNK = st.one_of(
+    st.sampled_from([BIG, -BIG, math.nan, math.inf, -math.inf, None, True, "x", [], {}]),
+    st.floats(),
+    st.integers(-3, 3),
+    st.lists(st.floats(), max_size=4),
+    st.dictionaries(st.sampled_from(["0", "1", "A"]), st.floats(), max_size=2),
+)
+UNIT = st.floats(0.0, 1.0)
+
+
+def section(fields):
+    """An object with each known field left out, fuzzed or kept plausible."""
+    return st.one_of(
+        st.fixed_dictionaries({}, optional={k: st.one_of(v, JUNK) for k, v in fields.items()}),
+        JUNK,
+    )
+
+
+SOURCE = section({"c0": UNIT, "c1": UNIT, "c2": UNIT, "c0_over_c1": UNIT, "c1_over_c2": UNIT})
+NOISE = section({"noise": section({"p": UNIT, "c": UNIT, "weights": st.lists(UNIT, max_size=4)})})
+FUZZED_CONFIGS = {
+    "simulate": section(
+        {
+            "pipeline": section(
+                {
+                    "source1": SOURCE,
+                    "source2": SOURCE,
+                    "mirrors": section({"d": st.integers(0, 2), "a_post_bs": st.integers(0, 2)}),
+                    "sorter": section({"odd_swaps": st.booleans(), "swap_phase": st.sampled_from([1, -1])}),
+                    "overlap": UNIT,
+                    "include_c2": st.booleans(),
+                    "cmp": st.one_of(st.none(), section({"0": UNIT, "-1": UNIT})),
+                    "elements": JUNK,
+                }
+            )
+        }
+    ),
+    "hom": section(
+        {
+            "spectral": section(
+                {
+                    "sigma_f_hz": st.floats(1e11, 1e13),
+                    "sigma_p_hz": st.floats(1e11, 1e13),
+                    "crystal_length_m": st.floats(1e-4, 1e-2),
+                    "dip": section({"visibility": UNIT, "width_m": UNIT, "center_m": UNIT}),
+                }
+            )
+        }
+    ),
+    "witness": NOISE,
+    "mermin": NOISE,
+    "counts": st.one_of(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "rep_rate_hz": st.one_of(st.floats(1e6, 1e8), JUNK),
+                "eta": st.one_of(UNIT, JUNK),
+                "singles": st.one_of(st.just(RATES["singles"]), JUNK),
+                "pairs": st.one_of(st.just(RATES["pairs"]), JUNK),
+            },
+        ).map(lambda fuzzed: {**RATES, **fuzzed}),
+        JUNK,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED_CONFIGS))
+@settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_fuzzed_config_exits_0_or_2(tmp_path, command, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data.draw(FUZZED_CONFIGS[command])))
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) in (0, 2)

@@ -1,5 +1,6 @@
 """Optical element factories: conventions, unitarity, projections."""
 
+import json
 import math
 
 import numpy as np
@@ -151,11 +152,17 @@ def test_project_idempotent():
     assert abs(p_twice - 1.0) < 1e-12
 
 
-def test_element_spec_json_round_trip():
+def test_element_spec_dict_round_trip():
     spec = ElementSpec(
         "PARITY_SORTER", ("B", "C"), {"odd_swaps": True, "swap_phase": 1.0}
     )
-    back = ElementSpec.from_json(spec.to_json())
+    d = spec.to_dict()
+    assert d == {
+        "kind": "PARITY_SORTER",
+        "paths": ["B", "C"],
+        "params": {"odd_swaps": True, "swap_phase": 1.0},
+    }
+    back = ElementSpec.from_dict(json.loads(json.dumps(d)))
     assert back == spec
     m = build_element(back)
     assert m.unitary

@@ -54,10 +54,6 @@ def test_gvm_width_corresponds_to_1p2nm():
     assert abs(dl - 1.2e-9) / 1.2e-9 < 0.02
 
 
-def test_fwhm_round_trip():
-    assert sp.fwhm_to_sigma(sp.sigma_to_fwhm(3.7e11)) == pytest.approx(3.7e11, rel=1e-12)
-
-
 # --- closed-form visibility ------------------------------------------------------
 
 

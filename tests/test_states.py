@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from ghz3d.states import (
     ELL_MAX,
@@ -23,7 +23,15 @@ from ghz3d.states import (
     postselect,
     tensor,
 )
-from ghz3d.elements import beam_splitter, mirror, parity_sorter, spp_reflect
+from ghz3d.elements import (
+    ELLS,
+    SorterConvention,
+    beam_splitter,
+    local_unitary,
+    mirror,
+    parity_sorter,
+    spp_reflect,
+)
 
 A0 = ModeLabel("A", 0)
 A1 = ModeLabel("A", 1)
@@ -94,7 +102,7 @@ def test_hom_two_identical_photons_cancel():
     # both photons bunch: |2,0> and |0,2> with monomial coefficient i/2 each
     assert abs(out.amplitude((A1, A1)) - 0.5j) < 1e-12
     # physical (fock) probabilities: |i/2 * sqrt(2)|^2 = 1/2 each
-    assert abs(abs(out.amplitude((A1, A1), "normalized-fock")) ** 2 - 0.5) < 1e-12
+    assert abs(abs(out.fock_amplitude((A1, A1))) ** 2 - 0.5) < 1e-12
 
 
 def test_hom_distinguishable_photons_coincide_half_the_time():
@@ -142,10 +150,12 @@ def test_postselect_keeps_one_photon_per_path():
     assert abs(state.norm() - 1.0) < 1e-12
 
 
-def test_amplitude_conventions():
-    s = PhotonicState({(A1, A1): 1.0})
-    assert abs(s.amplitude((A1, A1), "normalized-fock") - math.sqrt(2)) < 1e-12
-    assert s.amplitude((A0,) * 2) == 0
+def test_fock_amplitude_includes_occupation_factorial():
+    s = PhotonicState({(A1, A1, B1): 1.0})
+    assert s.amplitude((A1, B1, A1)) == 1.0
+    assert abs(s.fock_amplitude((A1, B1, A1)) - math.sqrt(2)) < 1e-12
+    assert s.amplitude((A0,) * 3) == 0
+    assert s.fock_amplitude((A0,) * 3) == 0
 
 
 def test_fidelity_identities():
@@ -328,3 +338,87 @@ def sparse_maps(draw):
 @given(sparse_maps())
 def test_check_unitary_matches_brute_force(entries):
     assert LinearMap(entries).check_unitary() == brute_force_unitary(entries)
+
+
+# --- properties of element chains -------------------------------------------------
+
+CHAIN_PATHS = "ABC"
+CHAIN_MODES = {ModeLabel(p, ell) for p in CHAIN_PATHS for ell in ELLS}
+
+
+@st.composite
+def elements(draw):
+    """One factory-built element on the chain paths, identity-extended over them."""
+    kind = draw(st.sampled_from(["mirror", "spp", "bs", "sorter", "unitary"]))
+    p, q = draw(st.permutations(CHAIN_PATHS))[:2]
+    if kind == "mirror":
+        m = mirror(p)
+    elif kind == "spp":
+        m = spp_reflect(p)
+    elif kind == "bs":
+        m = beam_splitter(p, q)
+    elif kind == "sorter":
+        conv = SorterConvention(draw(st.booleans()), draw(st.sampled_from([1.0, -1.0, 1j])))
+        m = parity_sorter(p, q, conv)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        basis = draw(st.permutations(ELLS))[:3]
+        m = local_unitary(p, u, basis)
+    return extend_identity(m, CHAIN_MODES)
+
+
+@st.composite
+def states(draw, repeated=False):
+    """Normalized states of 1-3 photons, modes possibly repeated within a term
+    (with ``repeated``, the first term always holds two photons in one mode)."""
+    n = draw(st.integers(2 if repeated else 1, 3))
+    modes = st.builds(ModeLabel, st.sampled_from(CHAIN_PATHS), st.integers(-2, 2))
+    occupations = draw(st.lists(st.lists(modes, min_size=n, max_size=n), min_size=1, max_size=4))
+    if repeated:
+        occupations[0][1] = occupations[0][0]
+    parts = st.floats(-1.0, 1.0)
+    terms = [(tuple(occ), complex(draw(parts), draw(parts))) for occ in occupations]
+    state = PhotonicState(terms)
+    if state.norm() < 1e-3:
+        reject()
+    return state.normalize()
+
+
+def assert_states_close(s1, s2, tol=1e-12):
+    a1 = {t.occupation: t.amplitude for t in s1.terms}
+    a2 = {t.occupation: t.amplitude for t in s2.terms}
+    for occ in a1.keys() | a2.keys():
+        assert abs(a1.get(occ, 0.0) - a2.get(occ, 0.0)) <= tol
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(states(), st.lists(elements(), min_size=1, max_size=4))
+def test_element_chain_preserves_norm(state, chain):
+    out = state
+    try:
+        for m in chain:
+            out = apply(m, out)
+    except UnsupportedMode:  # the chain left the tracked OAM window
+        reject()
+    assert abs(out.norm() - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(states(), elements(), elements())
+def test_apply_of_compose_is_sequential_apply(state, outer, inner):
+    try:
+        composed = compose(outer, inner)
+        sequential = apply(outer, apply(inner, state))
+    except UnsupportedMode:
+        reject()
+    assert_states_close(apply(composed, state), sequential)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(states(repeated=True))
+def test_fock_norm_identities(state):
+    norm2 = state.norm() ** 2
+    assert abs(inner(state, state) - norm2) < 1e-12
+    fock = sum(abs(state.fock_amplitude(t.occupation)) ** 2 for t in state.terms)
+    assert abs(fock - norm2) < 1e-12

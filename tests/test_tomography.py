@@ -165,6 +165,27 @@ def test_noise_model_limits():
     assert np.allclose(white, np.eye(27) / 27, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "weights,message",
+    [
+        ((0.0, 0.0, 0.0), "cannot be normalized"),
+        ((1e200, 1e200, 1e200), "cannot be normalized"),  # the squares overflow
+        ((1e-200, 0.0, 0.0), "cannot be normalized"),  # the square underflows
+        ((1.0, 1.0), "need three weights"),
+        ((1.0, 1.0, 1.0, 1.0), "need three weights"),
+    ],
+)
+def test_noise_weights_must_be_three_and_normalizable(weights, message):
+    with pytest.raises(ValueError, match=message):
+        tm.NoiseParams(0.5, 0.5, weights)
+
+
+def test_extreme_normalizable_weights_give_a_density_matrix():
+    for scale in (1e-150, 1e150):
+        params = tm.NoiseParams(0.9, 0.8, (scale, scale, 0.0))
+        tm.check_density_matrix(tm.noise_model(params))
+
+
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
 def test_noise_model_is_valid_density_matrix(p, c):
