@@ -31,7 +31,7 @@ from .experiment import (
     logical_state_vector,
     run_pipeline,
 )
-from .states import PhotonicState
+from .states import PhotonicState, UnsupportedMode
 
 DEFAULT_SEED = 333  # documented fixed default; three levels, three photons
 
@@ -183,7 +183,11 @@ def noise_params_from(cfg: Mapping[str, Any]) -> tomography.NoiseParams:
 
 def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     pipeline = pipeline_config_from(cfg)
-    result = run_pipeline(pipeline)
+    try:
+        result = run_pipeline(pipeline)
+        cls = classify_terms(pipeline)
+    except UnsupportedMode as exc:
+        raise ConfigError(f"pipeline.elements push a photon out of the tracked modes: {exc}") from exc
     report: dict[str, Any] = {
         "seed": seed,
         "success_probability": result.probability,
@@ -200,13 +204,9 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         report["fidelity_vs_ghz"] = None
         report["srv"] = None
         report["relabel"] = None
-    if result.a_state is not None and result.four_photon_state is not None:
-        report["factorized"] = factorization_check(
-            result.four_photon_state, result.a_state, result.bcd_state
-        )
-    else:
-        report["factorized"] = False
-    cls = classify_terms(pipeline)
+    report["factorized"] = result.a_state is not None and factorization_check(
+        result.four_photon_state, result.a_state, result.bcd_state
+    )
     report["term_classification"] = {
         f"{k1}|{k2}": {
             "verdict": r.verdict,
@@ -263,8 +263,11 @@ def cmd_witness(cfg: dict, out: Path, seed: int, events: int) -> int:
     noise = noise_params_from(cfg)
     rho = tomography.noise_model(noise)
     plan = tomography.build_witness_plan()
-    records = tomography.simulate_counts(rho, plan, events, seed=seed)
-    f_est, sigma_f = tomography.estimate_fidelity(records, seed=seed + 1)
+    try:
+        records = tomography.simulate_counts(rho, plan, events, seed=seed)
+        f_est, sigma_f = tomography.estimate_fidelity(records, seed=seed + 1)
+    except ValueError as exc:  # too few events for a diagonal count, or too many to sample
+        raise ConfigError(f"--events {events} is out of range: {exc}") from exc
     ghz, _ = tomography.ideal_ghz()
     f_max = tomography.witness_bound(ghz)
     dump_json(

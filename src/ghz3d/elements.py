@@ -86,9 +86,10 @@ class SorterConvention:
     odd_swaps: bool = True  # False: even parity swaps paths instead
     swap_phase: complex = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite("sorter convention", swap_phase=self.swap_phase)
         if abs(abs(self.swap_phase) - 1.0) > 1e-12:
-            raise ValueError("swap phase must be unimodular")
+            raise ValueError(f"sorter swap_phase must be unimodular: {self.swap_phase}")
 
 
 def parity_sorter(
@@ -104,7 +105,6 @@ def parity_sorter(
     """
     if p1 == p2:
         raise ValueError("parity sorter needs two distinct paths")
-    convention.validate()
     entries = {}
     for ell in ELLS:
         crosses = (ell % 2 == 1) == convention.odd_swaps
@@ -125,16 +125,16 @@ def local_unitary(
     matrix: np.ndarray,
     basis: Sequence[int],
     tags: Sequence[int] = DEFAULT_TAGS,
-    tol: float = 1e-10,
 ) -> LinearMap:
     """Unitary acting on a 3-level OAM span of one path, identity elsewhere.
 
-    ``matrix[j, k]`` is the amplitude for basis[k] -> basis[j].
+    ``matrix[j, k]`` is the amplitude for basis[k] -> basis[j]; u†u must be
+    the identity to 1e-12 per entry, as in :meth:`LinearMap.check_unitary`.
     """
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (len(basis), len(basis)):
         raise ValueError("matrix shape must match basis length")
-    if not np.allclose(u.conj().T @ u, np.eye(len(basis)), atol=tol):
+    if not np.allclose(u.conj().T @ u, np.eye(len(basis)), rtol=0.0, atol=1e-12):
         raise NotUnitary("matrix fails unitarity check")
     entries = {}
     basis = list(basis)
@@ -183,7 +183,10 @@ class Projector1:
 
     @classmethod
     def of(cls, path: str, components: Mapping[int, complex]) -> "Projector1":
+        """The projector onto ``components`` normalized; a zero ket is a ValueError."""
         norm = math.sqrt(sum(abs(c) ** 2 for c in components.values()))
+        if norm == 0:
+            raise ValueError(f"projector ket on path {path} is zero: {dict(components)}")
         ket = tuple(sorted((ell, c / norm) for ell, c in components.items()))
         return cls(path, ket)
 
@@ -257,6 +260,8 @@ class ElementSpec:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if not self.paths:
             raise ValueError("element needs at least one path")
+        if not all(isinstance(p, str) for p in self.paths):
+            raise ValueError(f"element paths must be strings: {list(self.paths)}")
         if self.kind in ("BEAM_SPLITTER", "PARITY_SORTER") and len(self.paths) != 2:
             raise ValueError(f"{self.kind} takes exactly 2 paths")
         params = dict(self.params)

@@ -8,8 +8,7 @@ photon per detector leaves a three-term, three-dimensionally entangled state
 on paths B, C, D.
 
 The default mirror placement (one reflection on path C before the sorter,
-one on path A between the beam splitter and the CMP) is the unique choice,
-given the declared sorter and splitter conventions, that makes the surviving
+one on path A between the beam splitter and the CMP) makes the surviving
 term set equal the reference form:
 
     (|2,0,0> + |3,1,1> + |-1,-1,-1>)/sqrt(3)  on  (B, C, D)
@@ -17,7 +16,17 @@ term set equal the reference form:
 with the two odd-odd cross combinations eliminated by two-photon
 interference (HOM) at the splitter and by the CMP respectively, and with
 higher-order |+-2,-+2> source terms landing outside the detected mode
-subspace.
+subspace.  Given the declared sorter and splitter conventions the placement
+is unique up to four moves, each toggling the mirrors of two stations, so 16
+of the 256 mirror-parity patterns give this state (all with a mirror at
+a_post_bs; none if even parity swaps at the sorter):
+
+* {a_pre_spp, b_pre_sorter}: l -> -l on both photons of source 1's pair
+  state, which is symmetric under it;
+* {b_pre_sorter, c_post_sorter}, {b_post_sorter, c_pre_sorter}: a c2-free
+  photon enters the sorter with l = 0, which a mirror leaves alone, or odd,
+  and crosses, so a mirror before one input acts as one after the other output;
+* {b_post_sorter, d}: the move before and the pair flip {c_pre_sorter, d}.
 """
 
 from __future__ import annotations
@@ -68,6 +77,10 @@ DEFAULT_MIRRORS = {"a_post_bs": 1, "c_pre_sorter": 1}
 DETAILED_SETUP_MIRRORS = {"a_post_bs": 1, "c_pre_sorter": 1, "b_post_bs": 1, "d": 1}
 
 CMP_KET = {0: 1.0, -1: 1.0}  # normalized by Projector1.of
+
+#: per-source tags of the two runs: indistinguishable and distinguishable photons
+EQUAL_TAGS = (0, 0)
+DISTINCT_TAGS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -132,20 +145,20 @@ class PipelineConfig:
     cmp_ket: Mapping[int, complex] | None = field(default_factory=lambda: dict(CMP_KET))
     elements_override: tuple[ElementSpec, ...] | None = None
     restrict_detection: bool = True  # drop modes outside the c2-free support
-    # compiled element chains by tag set, filled by _element_maps
-    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # compiled by __post_init__: every element of pipeline_elements(self) with
+    # its map over both runs' tags, and the CMP projector (None without CMP)
+    multiport: tuple[tuple[ElementSpec, LinearMap], ...] = field(init=False, repr=False, compare=False)
+    cmp: Projector1 | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
-        paths = (*self.source1_paths, *self.source2_paths)
-        if len(set(paths)) != 4:
+        if len(set(self.detector_paths)) != 4:
             raise ValueError("source paths must be four distinct paths")
         cmp_ket = {} if self.cmp_ket is None else {int(k): complex(v) for k, v in self.cmp_ket.items()}
         require_finite(
             "pipeline config",
             overlap=self.overlap,
-            swap_phase=self.sorter.swap_phase,
             **{f"mirrors[{k}]": v for k, v in self.mirrors.items()},
             **{f"cmp[{k}]": v for k, v in cmp_ket.items()},
         )
@@ -161,12 +174,16 @@ class PipelineConfig:
             object.__setattr__(self, "cmp_ket", MappingProxyType(cmp_ket))
         if self.elements_override is not None:
             object.__setattr__(self, "elements_override", tuple(self.elements_override))
+        try:
+            cmp = None if self.cmp_ket is None else Projector1.of(self.source1_paths[0], self.cmp_ket)
+        except ValueError as exc:
+            raise ValueError(f"cmp_ket: {exc}") from None
+        object.__setattr__(self, "cmp", cmp)
+        object.__setattr__(self, "multiport", _compile_multiport(self))
 
     @property
     def detector_paths(self) -> tuple[str, str, str, str]:
-        a, b = self.source1_paths
-        c, d = self.source2_paths
-        return (a, b, c, d)
+        return (*self.source1_paths, *self.source2_paths)
 
     @property
     def ghz_paths(self) -> tuple[str, str, str]:
@@ -225,49 +242,44 @@ def pipeline_elements(cfg: PipelineConfig) -> tuple[ElementSpec, ...]:
     return tuple(chain)
 
 
-def _element_maps(cfg: PipelineConfig, tags: tuple[int, ...]) -> tuple[tuple[ElementSpec, LinearMap], ...]:
-    """Each element of ``pipeline_elements(cfg)`` with its map at ``tags``.
-
-    Maps are identity-extended over all tracked modes, so a stray photon
-    raises UnsupportedMode.  Built once per tag set and kept on the frozen
-    config, whose mapping fields are read-only, so the chain cannot go stale.
+def _compile_multiport(cfg: PipelineConfig) -> tuple[tuple[ElementSpec, LinearMap], ...]:
+    """Each element of ``pipeline_elements(cfg)`` with its map over the tags of
+    both runs, identity-extended over all tracked modes of the paths in use, so
+    a photon pushed out of the OAM window raises UnsupportedMode.  An element
+    that cannot be built is a ValueError naming it.
     """
-    chain = cfg._chains.get(tags)
-    if chain is None:
-        all_modes = {ModeLabel(p, ell, t) for p in cfg.detector_paths for ell in ELLS for t in tags}
-        chain = tuple(
-            (spec, extend_identity(build_element(spec, tags=tags), all_modes))
-            for spec in pipeline_elements(cfg)
-        )
-        cfg._chains[tags] = chain
-    return chain
+    specs = pipeline_elements(cfg)
+    paths = set(cfg.detector_paths).union(*(spec.paths for spec in specs))
+    tags = sorted({*EQUAL_TAGS, *DISTINCT_TAGS})
+    all_modes = {ModeLabel(p, ell, t) for p in paths for ell in ELLS for t in tags}
+    chain = []
+    for i, spec in enumerate(specs):
+        try:
+            chain.append((spec, extend_identity(build_element(spec, tags=tags), all_modes)))
+        except (KeyError, TypeError, ValueError) as exc:
+            where = f"pipeline element {i} ({spec.kind} on {', '.join(spec.paths)})"
+            raise ValueError(f"{where}: {exc}") from None
+    return tuple(chain)
 
 
-def _apply_multiport(cfg: PipelineConfig, state: PhotonicState, tags: tuple[int, ...]) -> PhotonicState:
-    """Send a state through the element chain, stage by stage.
-
-    The chain is compiled once per (config, tags) by ``_element_maps`` and
-    reused by every run, combination and projection on that config.
-    """
-    for _, m in _element_maps(cfg, tags):
-        state = apply(m, state)
-    return state
-
-
-def _detected(
+def _sources(
     cfg: PipelineConfig, tags: tuple[int, int], kinds: tuple[str, str] | None = None
-) -> tuple[PhotonicState, float]:
-    """Both sources at ``tags`` (one pair term each, if ``kinds``) through the
-    multi-port, postselected on one photon per detector.
-    """
+) -> PhotonicState:
+    """Both sources at ``tags`` (one pair term each, if ``kinds``)."""
     if kinds is None:
         s1 = spdc_state(cfg.source1_paths, cfg.source1, tags[0], cfg.include_c2)
         s2 = spdc_state(cfg.source2_paths, cfg.source2, tags[1], cfg.include_c2)
     else:
         s1 = _single_term_source(kinds[0], cfg.source1_paths, tags[0])
         s2 = _single_term_source(kinds[1], cfg.source2_paths, tags[1])
-    transformed = _apply_multiport(cfg, tensor(s1, s2), tuple(sorted(set(tags))))
-    return postselect(transformed, cfg.detector_paths)
+    return tensor(s1, s2)
+
+
+def _detected(cfg: PipelineConfig, state: PhotonicState) -> tuple[PhotonicState, float]:
+    """A source state through the multi-port, postselected on one photon per detector."""
+    for _, m in cfg.multiport:
+        state = apply(m, state)
+    return postselect(state, cfg.detector_paths)
 
 
 @dataclass(frozen=True)
@@ -300,10 +312,8 @@ class PipelineResult:
     bcd_state: PhotonicState
     a_state: PhotonicState | None
     probability: float
-    pre_cmp_state: PhotonicState | None
     four_photon_state: PhotonicState | None
     relabel: RelabelMap | None
-    config: PipelineConfig
 
 
 def factor_single_path(
@@ -350,24 +360,18 @@ def _detection_support(cfg: PipelineConfig) -> set[tuple[str, int]] | None:
     projective measurements only address the three logical modes per path,
     so those events never enter the recorded state.
     """
-    if not cfg.restrict_detection:
+    if not (cfg.restrict_detection and cfg.include_c2 and max(cfg.source1.c2, cfg.source2.c2) > 0):
         return None
-    if not (cfg.include_c2 and max(cfg.source1.c2, cfg.source2.c2) > 0):
-        return None
-    base = replace(cfg, include_c2=False, restrict_detection=False)
-    res = _run_once(base, tags=(0, 0))
-    if res.pre_cmp_state is None:
-        return None
-    return {(m.path, m.oam) for m in res.pre_cmp_state.modes()}
+    c2_free = tensor(spdc_state(cfg.source1_paths, cfg.source1), spdc_state(cfg.source2_paths, cfg.source2))
+    selected, _ = _detected(cfg, c2_free)
+    return {(m.path, m.oam) for m in selected.modes()} or None
 
 
 def _run_once(
-    cfg: PipelineConfig,
-    tags: tuple[int, int] = (0, 0),
-    support: set[tuple[str, int]] | None = None,
+    cfg: PipelineConfig, tags: tuple[int, int], support: set[tuple[str, int]] | None
 ) -> PipelineResult:
     """One coherent pipeline run with fixed per-source tags."""
-    selected, p_select = _detected(cfg, tags)
+    selected, p_select = _detected(cfg, _sources(cfg, tags))
     if support is not None and not selected.is_zero:
         kept = {
             term.occupation: term.amplitude
@@ -379,28 +383,15 @@ def _run_once(
         p_select *= weight
         if not selected.is_zero:
             selected = selected.normalize()
-    if selected.is_zero:
-        return PipelineResult(selected, None, 0.0, None, None, None, cfg)
-
-    pre_cmp = selected
-    if cfg.cmp_ket is None:
-        four = pre_cmp
-        probability = p_select
-    else:
-        cmp_proj = Projector1.of(cfg.source1_paths[0], cfg.cmp_ket)
-        four, p_cmp = project(cmp_proj, pre_cmp)
-        probability = p_select * p_cmp
-        if four.is_zero:
-            return PipelineResult(four, None, 0.0, pre_cmp, None, None, cfg)
-
+    four, p_cmp = (selected, 1.0) if cfg.cmp is None else project(cfg.cmp, selected)
+    if four.is_zero:
+        return PipelineResult(four, None, 0.0, None, None)
+    probability = p_select * p_cmp
     factored = factor_single_path(four, cfg.source1_paths[0])
     if factored is None:
-        a_state: PhotonicState | None = None
-        bcd = four
-    else:
-        a_state, bcd = factored
-    relab = ghz_relabel_map(bcd, cfg.ghz_paths) if a_state is not None else None
-    return PipelineResult(bcd, a_state, probability, pre_cmp, four, relab, cfg)
+        return PipelineResult(four, None, probability, four, None)
+    a_state, bcd = factored
+    return PipelineResult(bcd, a_state, probability, four, ghz_relabel_map(bcd, cfg.ghz_paths))
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -411,9 +402,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     those of the coherent, equal-tag branch.
     """
     support = _detection_support(cfg)
-    res = _run_once(cfg, tags=(0, 0), support=support)
+    res = _run_once(cfg, EQUAL_TAGS, support)
     if cfg.overlap < 1.0:
-        distinct = _run_once(cfg, tags=(1, 2), support=support)
+        distinct = _run_once(cfg, DISTINCT_TAGS, support)
         probability = cfg.overlap * res.probability + (1 - cfg.overlap) * distinct.probability
         res = replace(res, probability=probability)
     return res
@@ -514,11 +505,8 @@ class TermClassification:
 
 def _sorter_parity_blocked(cfg: PipelineConfig, kinds: tuple[str, str]) -> bool:
     """True when the sorter alone already precludes one photon per path."""
-    state = tensor(
-        _single_term_source(kinds[0], cfg.source1_paths, 0),
-        _single_term_source(kinds[1], cfg.source2_paths, 0),
-    )
-    for spec, m in _element_maps(cfg, (0,)):
+    state = _sources(cfg, EQUAL_TAGS, kinds)
+    for spec, m in cfg.multiport:
         if spec.kind in ("MIRROR", "PARITY_SORTER"):
             state = apply(m, state)
         if spec.kind == "PARITY_SORTER":
@@ -537,14 +525,13 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
     changes for distinguishable photons) and whether the CMP is what blocks
     the four-fold event.
     """
-    a = cfg.source1_paths[0]
-    cmp = {} if cfg.cmp_ket is None else {a: Projector1.of(a, cfg.cmp_ket)}
+    cmp = {} if cfg.cmp is None else {cfg.cmp.path: cfg.cmp}
     reports: dict[tuple[str, str], ComboReport] = {}
     for k1 in TERM_KINDS:
         for k2 in TERM_KINDS:
             kinds = (k1, k2)
-            p_ind = _projected_fourfold(cfg, cmp, (0, 0), kinds)
-            p_dis = _projected_fourfold(cfg, cmp, (1, 2), kinds)
+            p_ind = _projected_fourfold(cfg, cmp, EQUAL_TAGS, kinds)
+            p_dis = _projected_fourfold(cfg, cmp, DISTINCT_TAGS, kinds)
             hom = abs(p_ind - p_dis) > 1e-12
             if p_ind > 1e-12:
                 verdict = SURVIVES
@@ -554,7 +541,7 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
                 cmp_blocked = False
             else:
                 verdict = CROSS_BLOCKED
-                p_nocmp = _projected_fourfold(cfg, {}, (0, 0), kinds)
+                p_nocmp = _projected_fourfold(cfg, {}, EQUAL_TAGS, kinds)
                 cmp_blocked = p_nocmp > 1e-12
             reports[kinds] = ComboReport(verdict, hom, cmp_blocked, p_ind)
     return TermClassification(reports)
@@ -567,7 +554,7 @@ def _projected_fourfold(
     kinds: tuple[str, str] | None = None,
 ) -> float:
     """Four-fold probability after the given projectors, in detector order."""
-    state, p = _detected(cfg, tags, kinds)
+    state, p = _detected(cfg, _sources(cfg, tags, kinds))
     for path in cfg.detector_paths:
         if p == 0.0:
             return 0.0
@@ -590,8 +577,8 @@ def hom_scan(
     """
     if set(projection) != set(cfg.detector_paths):
         raise ValueError("need exactly one projector per detector path")
-    p_ind = _projected_fourfold(cfg, projection, (0, 0))
-    p_dis = _projected_fourfold(cfg, projection, (1, 2))
+    p_ind = _projected_fourfold(cfg, projection, EQUAL_TAGS)
+    p_dis = _projected_fourfold(cfg, projection, DISTINCT_TAGS)
     out = []
     for o in overlaps:
         if not 0.0 <= o <= 1.0:

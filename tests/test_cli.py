@@ -4,9 +4,11 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ghz3d.cli import main
+from ghz3d.elements import ELEMENT_KINDS
+from ghz3d.experiment import MIRROR_STATIONS
 
 RATES = {
     "rep_rate_hz": 8e7,
@@ -81,6 +83,15 @@ NAN_UNITARY = {
     "paths": ["B"],
     "params": {"matrix": [[1, 0, 0], [0, math.nan, 0], [0, 0, 1]], "basis": [0, 1, -1]},
 }
+ONE_PATH_SPLITTER = {"kind": "BEAM_SPLITTER", "paths": ["A", "A"]}
+BAD_PHASE_SORTER = {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {"swap_phase": 2}}
+NONUNITARY = {
+    "kind": "LOCAL_UNITARY",
+    "paths": ["B"],
+    "params": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "basis": [0, 1, -1]},
+}
+# the photon on A reaches l = 4, where the last SPP_REFLECT has no image
+OUT_OF_WINDOW = [{"kind": k, "paths": ["A"]} for k in ("SPP_REFLECT", "MIRROR", "SPP_REFLECT", "SPP_REFLECT")]
 
 
 @pytest.mark.parametrize(
@@ -113,6 +124,15 @@ NAN_UNITARY = {
         # finite weights whose sum of squares a float cannot hold
         (["mermin"], {"noise": {"weights": [1e200, 1e200, 1e200]}}, "weights cannot be normalized"),
         (["witness"], {"noise": {"weights": [1e-200, 0.0, 0.0]}}, "weights cannot be normalized"),
+        # finite and well-typed, but out of domain
+        (["simulate"], {"pipeline": {"sorter": {"swap_phase": 2}}}, "swap_phase must be unimodular: (2+0j)"),
+        (["simulate"], {"pipeline": {"cmp": {}}}, "cmp_ket: projector ket on path A is zero"),
+        (["simulate"], {"pipeline": {"cmp": {"0": 0}}}, "cmp_ket: projector ket on path A is zero"),
+        (["simulate"], {"pipeline": {"elements": [ONE_PATH_SPLITTER]}}, "element 0 (BEAM_SPLITTER on A, A)"),
+        (["simulate"], {"pipeline": {"elements": [BAD_PHASE_SORTER]}}, "element 0 (PARITY_SORTER on B, C)"),
+        (["simulate"], {"pipeline": {"elements": [NONUNITARY]}}, "element 0 (LOCAL_UNITARY on B)"),
+        (["simulate"], {"pipeline": {"elements": OUT_OF_WINDOW}}, "pipeline.elements"),
+        (["witness", "--events", 1], {}, "--events 1"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):
@@ -156,8 +176,12 @@ def test_witness_outputs(tmp_path):
     assert len(lines) == 220
 
 
-def test_witness_invalid_events(tmp_path):
+def test_witness_invalid_events(tmp_path, capsys):
     assert run(["witness", "--out", tmp_path, "--events", 0]) == 2
+    # too few events to leave any diagonal count for the estimator
+    assert run(["witness", "--out", tmp_path, "--events", 1]) == 2
+    assert "--events 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_mermin_output(tmp_path):
@@ -255,6 +279,33 @@ JUNK = st.one_of(
     st.dictionaries(st.sampled_from(["0", "1", "A"]), st.floats(), max_size=2),
 )
 UNIT = st.floats(0.0, 1.0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# well-typed element chains: every kind, one or two paths from A-D or a
+# stray E, and params near the valid ones (phases off the unit circle,
+# non-unitary matrices, OAM values past the window, repeated paths)
+PHASE = st.one_of(st.sampled_from([1, -1]), FINITE)
+MATRIX = st.one_of(
+    st.sampled_from([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]),
+    st.lists(st.lists(st.floats(-1, 1), min_size=3, max_size=3), min_size=3, max_size=3),
+)
+OAM = st.integers(-6, 6)
+ELEMENT = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(ELEMENT_KINDS),
+        "paths": st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=2),
+        "params": st.fixed_dictionaries(
+            {},
+            optional={
+                "odd_swaps": st.booleans(),
+                "swap_phase": PHASE,
+                "matrix": MATRIX,
+                "basis": st.lists(OAM, min_size=3, max_size=3),
+                "mapping": st.dictionaries(OAM.map(str), st.tuples(OAM, PHASE), max_size=3),
+            },
+        ),
+    },
+)
 
 
 def section(fields):
@@ -267,22 +318,30 @@ def section(fields):
 
 SOURCE = section({"c0": UNIT, "c1": UNIT, "c2": UNIT, "c0_over_c1": UNIT, "c1_over_c2": UNIT})
 NOISE = section({"noise": section({"p": UNIT, "c": UNIT, "weights": st.lists(UNIT, max_size=4)})})
+RATIOS = st.fixed_dictionaries(
+    {}, optional={"c0_over_c1": st.floats(0.1, 10), "c1_over_c2": st.floats(0.5, 10)}
+)
+# every pipeline field, plausible or out of domain but well typed; section()
+# mixes junk into each of them
+PIPELINE = {
+    "source1": RATIOS,
+    "source2": RATIOS,
+    "mirrors": st.dictionaries(st.sampled_from(MIRROR_STATIONS), st.integers(0, 2)),
+    "sorter": st.fixed_dictionaries({}, optional={"odd_swaps": st.booleans(), "swap_phase": PHASE}),
+    "overlap": UNIT,
+    "include_c2": st.booleans(),
+    "cmp": st.one_of(
+        st.none(),
+        st.sampled_from([{}, {"0": 0}, {"0": 0.0, "-1": 0.0}]),
+        st.fixed_dictionaries({}, optional={"0": UNIT, "-1": UNIT}),
+    ),
+    "elements": st.lists(ELEMENT, min_size=1, max_size=4),
+}
 FUZZED_CONFIGS = {
-    "simulate": section(
-        {
-            "pipeline": section(
-                {
-                    "source1": SOURCE,
-                    "source2": SOURCE,
-                    "mirrors": section({"d": st.integers(0, 2), "a_post_bs": st.integers(0, 2)}),
-                    "sorter": section({"odd_swaps": st.booleans(), "swap_phase": st.sampled_from([1, -1])}),
-                    "overlap": UNIT,
-                    "include_c2": st.booleans(),
-                    "cmp": st.one_of(st.none(), section({"0": UNIT, "-1": UNIT})),
-                    "elements": JUNK,
-                }
-            )
-        }
+    "simulate": st.one_of(
+        # a well-typed pipeline reaches the element chain and the runs
+        st.fixed_dictionaries({"pipeline": st.fixed_dictionaries({}, optional=PIPELINE)}),
+        section({"pipeline": section({**PIPELINE, "source1": SOURCE, "source2": SOURCE})}),
     ),
     "hom": section(
         {
@@ -313,16 +372,22 @@ FUZZED_CONFIGS = {
 }
 
 
+# most simulate draws stop at a validation error; more of them reach the runs
+FUZZED_EXAMPLES = {"simulate": 60}
+
+
 @pytest.mark.parametrize("command", sorted(FUZZED_CONFIGS))
-@settings(
-    max_examples=15,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_fuzzed_config_exits_0_or_2(tmp_path, command, data):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data.draw(FUZZED_CONFIGS[command])))
-    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) in (0, 2)
+def test_fuzzed_config_exits_0_or_2(tmp_path, command):
+    @settings(
+        max_examples=FUZZED_EXAMPLES.get(command, 15),
+        deadline=None,
+        derandomize=True,
+        database=None,
+    )
+    @given(config=FUZZED_CONFIGS[command])
+    def exits_0_or_2(config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) in (0, 2)
+
+    exits_0_or_2()

@@ -127,6 +127,24 @@ def test_local_unitary_diagonalizes_shift():
 def test_local_unitary_rejects_nonunitary():
     with pytest.raises(NotUnitary):
         local_unitary("A", np.ones((3, 3)), (0, 1, 2))
+    # off by 5e-11: u†u misses the identity by 1e-10, beyond the 1e-12 that
+    # LinearMap.check_unitary allows, so the factory's own check must catch it
+    with pytest.raises(NotUnitary):
+        local_unitary("A", np.diag([1.0 + 5e-11, 1.0, 1.0]), (0, 1, 2))
+
+
+@pytest.mark.parametrize("phase", [2.0, 0.5j, 0.0, 1.0 + 1e-9])
+def test_sorter_convention_rejects_non_unimodular_phase(phase):
+    with pytest.raises(ValueError, match="swap_phase must be unimodular"):
+        SorterConvention(swap_phase=phase)
+    with pytest.raises(ValueError, match="swap_phase must be unimodular"):
+        build_element(ElementSpec("PARITY_SORTER", ("B", "C"), {"swap_phase": phase}))
+
+
+@pytest.mark.parametrize("ket", [{}, {0: 0.0}, {0: 0.0, -1: 0j}])
+def test_projector_rejects_zero_ket(ket):
+    with pytest.raises(ValueError, match="projector ket on path A is zero"):
+        Projector1.of("A", ket)
 
 
 def test_project_examples():
@@ -175,6 +193,8 @@ def test_element_spec_validation():
         ElementSpec("NOT_A_KIND", ("A",))
     with pytest.raises(ValueError):
         ElementSpec("MIRROR", ())
+    with pytest.raises(ValueError, match="paths must be strings"):
+        ElementSpec("BEAM_SPLITTER", ("A", 1))
 
 
 def test_element_spec_rejects_nested_nonfinite_params():

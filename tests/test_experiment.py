@@ -6,15 +6,18 @@ pipeline_oracle.py, which shares no code with the package.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
 from ghz3d import tomography
-from ghz3d.elements import ElementSpec, Projector1
+from ghz3d.elements import ElementSpec, Projector1, SorterConvention
 from ghz3d.experiment import (
     CROSS_BLOCKED,
+    DEFAULT_MIRRORS,
     DETAILED_SETUP_MIRRORS,
+    MIRROR_STATIONS,
     PARITY_BLOCKED,
     SURVIVES,
     PipelineConfig,
@@ -25,10 +28,11 @@ from ghz3d.experiment import (
     ghz_relabel_map,
     hom_scan,
     logical_state_vector,
+    pipeline_elements,
     run_pipeline,
     spdc_state,
 )
-from ghz3d.states import ModeLabel, PhotonicState, fidelity_pure, postselect
+from ghz3d.states import LinearMap, ModeLabel, PhotonicState, apply, fidelity_pure, postselect
 
 from pipeline_oracle import expand
 
@@ -108,6 +112,49 @@ def test_config_mappings_are_read_only():
     assert run_pipeline(detailed).bcd_state != default_bcd
     assert replace(detailed, mirrors=cfg.mirrors) == cfg
     assert replace(spec, paths=("C", "D")).params == {"odd_swaps": True}
+
+
+SHEAR = ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "basis": (0, 1, -1)})
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"cmp_ket": {}}, "cmp_ket: projector ket on path A is zero"),
+        ({"cmp_ket": {0: 0.0, -1: 0.0}}, "cmp_ket: projector ket on path A is zero"),
+        ({"elements_override": [ElementSpec("BEAM_SPLITTER", ("A", "A"))]}, "element 0 (BEAM_SPLITTER on A, A)"),
+        ({"elements_override": [ElementSpec("MIRROR", ("A",)), SHEAR]}, "element 1 (LOCAL_UNITARY on B): matrix fails"),
+        ({"elements_override": [ElementSpec("RELABEL", ("B",))]}, "element 0 (RELABEL on B): 'mapping'"),
+    ],
+)
+def test_config_rejects_a_multiport_it_cannot_build(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig(**kwargs)
+
+
+def test_a_path_outside_the_detectors_is_internal():
+    # two splitter passes send the path-A photon wholly into E, two more bring it back
+    chain = pipeline_elements(PipelineConfig())
+    loop = tuple(ElementSpec("BEAM_SPLITTER", ("A", "E")) for _ in range(4))
+    base = run_pipeline(PipelineConfig())
+    res = run_pipeline(PipelineConfig(elements_override=chain + loop))
+    assert abs(res.probability - base.probability) < 1e-14
+    assert fidelity_pure(res.bcd_state, base.bcd_state) > 1 - 1e-12
+    assert run_pipeline(PipelineConfig(elements_override=chain + loop[:2])).probability == 0
+
+
+def test_runs_build_no_element_map(monkeypatch):
+    amps = SourceAmplitudes.from_ratios(1.7, 2.0)
+    cfg = PipelineConfig(source1=amps, source2=amps, include_c2=True, overlap=0.5)
+    assert tuple(spec for spec, _ in cfg.multiport) == pipeline_elements(cfg)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a map was built after the config")
+
+    monkeypatch.setattr(LinearMap, "check_unitary", build)  # every element map runs it
+    assert run_pipeline(cfg).bcd_state.num_terms == 3
+    assert classify_terms(cfg).count(SURVIVES) == 3
+    hom_scan(cfg, fig2_projectors(), (0.0, 1.0))
 
 
 # --- the target GHZ state ---------------------------------------------------
@@ -220,6 +267,49 @@ def test_even_mirror_insertions_change_nothing():
         assert abs(res.bcd_state.amplitude(t.occupation) - t.amplitude) < 1e-12
 
 
+# the four station-pair toggles the module docstring names
+MIRROR_MOVES = (
+    {"a_pre_spp", "b_pre_sorter"},
+    {"b_pre_sorter", "c_post_sorter"},
+    {"b_post_sorter", "c_pre_sorter"},
+    {"b_post_sorter", "d"},
+)
+
+
+def _reference_matches(sorter):
+    """Mirror-parity patterns (as station sets) whose B,C,D terms are the reference set."""
+    matches = {}
+    for bits in range(2 ** len(MIRROR_STATIONS)):
+        stations = frozenset(s for b, s in enumerate(MIRROR_STATIONS) if bits >> b & 1)
+        res = run_pipeline(PipelineConfig(mirrors=dict.fromkeys(stations, 1), sorter=sorter))
+        terms = {tuple(m.oam for m in t.occupation): t.amplitude for t in res.bcd_state.terms}
+        if set(terms) == {(2, 0, 0), (3, 1, 1), (-1, -1, -1)}:
+            matches[stations] = (terms, res.probability)
+    return matches
+
+
+def test_default_mirror_placement_is_unique_up_to_four_moves():
+    coset = set()
+    for toggles in range(2 ** len(MIRROR_MOVES)):
+        stations = set(DEFAULT_MIRRORS)
+        for b, move in enumerate(MIRROR_MOVES):
+            if toggles >> b & 1:
+                stations ^= move
+        coset.add(frozenset(stations))
+    assert len(coset) == 16  # the four moves are independent
+
+    matches = _reference_matches(SorterConvention())
+    assert set(matches) == coset
+    default = {
+        tuple(m.oam for m in t.occupation): t.amplitude for t in run_pipeline(PipelineConfig()).bcd_state.terms
+    }
+    for stations, (terms, probability) in matches.items():
+        assert "a_post_bs" in stations
+        assert abs(probability - 1 / 24) < 1e-12
+        assert all(abs(terms[k] - default[k]) < 1e-12 for k in default)
+    assert not _reference_matches(SorterConvention(odd_swaps=False))
+
+
 # --- term elimination ----------------------------------------------------------
 
 
@@ -326,16 +416,15 @@ def test_factorization_fails_without_cmp():
 
 def test_factorization_single_source_vacuous():
     # crystal 2 blocked: only the |0,0> term of crystal 1 can fire A and B
-    from ghz3d.experiment import _apply_multiport  # noqa: PLC2701 - test hook
-
     from ghz3d.elements import project
 
     cfg = PipelineConfig()
-    src = spdc_state(("A", "B"), SourceAmplitudes.balanced())
-    out = _apply_multiport(cfg, src, (0,))
+    out = spdc_state(("A", "B"), SourceAmplitudes.balanced())
+    for _, m in cfg.multiport:
+        out = apply(m, out)
     selected, p = postselect(out, {"A", "B"})
     assert p > 0
-    detected, p_cmp = project(Projector1.of("A", cfg.cmp_ket), selected)
+    detected, p_cmp = project(cfg.cmp, selected)
     assert p_cmp > 0
     factored = factor_single_path(detected, "A")
     assert factored is not None
