@@ -133,6 +133,10 @@ OUT_OF_WINDOW = [{"kind": k, "paths": ["A"]} for k in ("SPP_REFLECT", "MIRROR", 
         (["simulate"], {"pipeline": {"elements": [NONUNITARY]}}, "element 0 (LOCAL_UNITARY on B)"),
         (["simulate"], {"pipeline": {"elements": OUT_OF_WINDOW}}, "pipeline.elements"),
         (["witness", "--events", 1], {}, "--events 1"),
+        # wrong-typed values nested inside a section
+        (["simulate"], {"pipeline": {"sorter": {"swap_phase": "x"}}}, "invalid pipeline config"),
+        (["simulate"], {"pipeline": {"mirrors": {"d": [1]}}}, "invalid pipeline config"),
+        (["simulate"], {"pipeline": {"cmp": {"0": None}}}, "invalid pipeline config"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):
@@ -321,27 +325,36 @@ NOISE = section({"noise": section({"p": UNIT, "c": UNIT, "weights": st.lists(UNI
 RATIOS = st.fixed_dictionaries(
     {}, optional={"c0_over_c1": st.floats(0.1, 10), "c1_over_c2": st.floats(0.5, 10)}
 )
-# every pipeline field, plausible or out of domain but well typed; section()
-# mixes junk into each of them
+MIRRORS = {s: st.integers(0, 2) for s in MIRROR_STATIONS}
+SORTER = {"odd_swaps": st.booleans(), "swap_phase": PHASE}
+CMP_KET = {"0": UNIT, "-1": UNIT}
+ZERO_KETS = st.sampled_from([{}, {"0": 0}, {"0": 0.0, "-1": 0.0}])
+# every pipeline field, plausible or out of domain but well typed
 PIPELINE = {
     "source1": RATIOS,
     "source2": RATIOS,
-    "mirrors": st.dictionaries(st.sampled_from(MIRROR_STATIONS), st.integers(0, 2)),
-    "sorter": st.fixed_dictionaries({}, optional={"odd_swaps": st.booleans(), "swap_phase": PHASE}),
+    "mirrors": st.fixed_dictionaries({}, optional=MIRRORS),
+    "sorter": st.fixed_dictionaries({}, optional=SORTER),
     "overlap": UNIT,
     "include_c2": st.booleans(),
-    "cmp": st.one_of(
-        st.none(),
-        st.sampled_from([{}, {"0": 0}, {"0": 0.0, "-1": 0.0}]),
-        st.fixed_dictionaries({}, optional={"0": UNIT, "-1": UNIT}),
-    ),
+    "cmp": st.one_of(st.none(), ZERO_KETS, st.fixed_dictionaries({}, optional=CMP_KET)),
     "elements": st.lists(ELEMENT, min_size=1, max_size=4),
+}
+# the same fields with junk mixed in at every level: in place of a whole
+# field and in place of each value nested inside one
+JUNK_PIPELINE = {
+    **PIPELINE,
+    "source1": SOURCE,
+    "source2": SOURCE,
+    "mirrors": section(MIRRORS),
+    "sorter": section(SORTER),
+    "cmp": st.one_of(st.none(), ZERO_KETS, section(CMP_KET)),
 }
 FUZZED_CONFIGS = {
     "simulate": st.one_of(
         # a well-typed pipeline reaches the element chain and the runs
         st.fixed_dictionaries({"pipeline": st.fixed_dictionaries({}, optional=PIPELINE)}),
-        section({"pipeline": section({**PIPELINE, "source1": SOURCE, "source2": SOURCE})}),
+        section({"pipeline": section(JUNK_PIPELINE)}),
     ),
     "hom": section(
         {
