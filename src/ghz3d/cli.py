@@ -123,7 +123,7 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
         p = cfg.get("pipeline", {})
         sorter_cfg = p.get("sorter", {})
         sorter = SorterConvention(
-            odd_swaps=bool(sorter_cfg.get("odd_swaps", True)),
+            odd_swaps=sorter_cfg.get("odd_swaps", True),
             swap_phase=complex(sorter_cfg.get("swap_phase", 1.0)),
         )
         cmp_raw = p.get("cmp", "default")
@@ -142,7 +142,7 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
             mirrors=dict(p.get("mirrors", DEFAULT_MIRRORS)),
             sorter=sorter,
             overlap=float(p.get("overlap", 1.0)),
-            include_c2=bool(p.get("include_c2", False)),
+            include_c2=p.get("include_c2", False),
             **kwargs,
         )
     except _BAD_INPUT as exc:

@@ -87,6 +87,8 @@ class SorterConvention:
     swap_phase: complex = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.odd_swaps, bool):
+            raise ValueError(f"sorter odd_swaps must be a bool: {self.odd_swaps!r}")
         require_finite("sorter convention", swap_phase=self.swap_phase)
         if abs(abs(self.swap_phase) - 1.0) > 1e-12:
             raise ValueError(f"sorter swap_phase must be unimodular: {self.swap_phase}")
@@ -291,7 +293,7 @@ def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> Line
         return beam_splitter(spec.paths[0], spec.paths[1], tags=tags)
     if spec.kind == "PARITY_SORTER":
         conv = SorterConvention(
-            odd_swaps=bool(p.get("odd_swaps", True)),
+            odd_swaps=p.get("odd_swaps", True),
             swap_phase=complex(p.get("swap_phase", 1.0)),
         )
         return parity_sorter(spec.paths[0], spec.paths[1], conv, tags=tags)

@@ -51,6 +51,7 @@ from .states import (
     LinearMap,
     ModeLabel,
     PhotonicState,
+    UnsupportedMode,
     apply,
     extend_identity,
     fidelity_pure,
@@ -145,16 +146,22 @@ class PipelineConfig:
     cmp_ket: Mapping[int, complex] | None = field(default_factory=lambda: dict(CMP_KET))
     elements_override: tuple[ElementSpec, ...] | None = None
     restrict_detection: bool = True  # drop modes outside the c2-free support
-    # compiled by __post_init__: every element of pipeline_elements(self) with
-    # its map over both runs' tags, and the CMP projector (None without CMP)
+    # computed by __post_init__: every element of pipeline_elements(self) with
+    # its map over both runs' tags, the CMP projector (None without CMP), and
+    # the full source state of each run through the multi-port, postselected
     multiport: tuple[tuple[ElementSpec, LinearMap], ...] = field(init=False, repr=False, compare=False)
     cmp: Projector1 | None = field(init=False, repr=False, compare=False)
+    detected: Mapping[tuple[int, int], tuple[PhotonicState, float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
         if len(set(self.detector_paths)) != 4:
             raise ValueError("source paths must be four distinct paths")
+        if not isinstance(self.include_c2, bool):
+            raise ValueError(f"include_c2 must be a bool: {self.include_c2!r}")
         cmp_ket = {} if self.cmp_ket is None else {int(k): complex(v) for k, v in self.cmp_ket.items()}
         require_finite(
             "pipeline config",
@@ -165,9 +172,13 @@ class PipelineConfig:
         unknown = set(self.mirrors) - set(MIRROR_STATIONS)
         if unknown:
             raise ValueError(f"unknown mirror stations: {sorted(unknown)}")
-        if any(int(n) < 0 for n in self.mirrors.values()):
+        mirrors = {k: int(v) for k, v in self.mirrors.items()}
+        fractional = [f"mirrors[{k}]={v}" for k, v in self.mirrors.items() if v != mirrors[k]]
+        if fractional:
+            raise ValueError(f"mirror counts must be integers: {', '.join(fractional)}")
+        if any(n < 0 for n in mirrors.values()):
             raise ValueError("mirror counts must be non-negative")
-        object.__setattr__(self, "mirrors", MappingProxyType({k: int(v) for k, v in self.mirrors.items()}))
+        object.__setattr__(self, "mirrors", MappingProxyType(mirrors))
         object.__setattr__(self, "source1_paths", tuple(self.source1_paths))
         object.__setattr__(self, "source2_paths", tuple(self.source2_paths))
         if self.cmp_ket is not None:
@@ -180,6 +191,11 @@ class PipelineConfig:
             raise ValueError(f"cmp_ket: {exc}") from None
         object.__setattr__(self, "cmp", cmp)
         object.__setattr__(self, "multiport", _compile_multiport(self))
+        try:
+            detected = {tags: _detected(self, _sources(self, tags)) for tags in (EQUAL_TAGS, DISTINCT_TAGS)}
+        except UnsupportedMode as exc:
+            raise ValueError(f"pipeline.elements push a photon out of the tracked OAM window: {exc}") from None
+        object.__setattr__(self, "detected", MappingProxyType(detected))
 
     @property
     def detector_paths(self) -> tuple[str, str, str, str]:
@@ -371,7 +387,7 @@ def _run_once(
     cfg: PipelineConfig, tags: tuple[int, int], support: set[tuple[str, int]] | None
 ) -> PipelineResult:
     """One coherent pipeline run with fixed per-source tags."""
-    selected, p_select = _detected(cfg, _sources(cfg, tags))
+    selected, p_select = cfg.detected[tags]
     if support is not None and not selected.is_zero:
         kept = {
             term.occupation: term.amplitude
@@ -530,8 +546,9 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
     for k1 in TERM_KINDS:
         for k2 in TERM_KINDS:
             kinds = (k1, k2)
-            p_ind = _projected_fourfold(cfg, cmp, EQUAL_TAGS, kinds)
-            p_dis = _projected_fourfold(cfg, cmp, DISTINCT_TAGS, kinds)
+            equal = _detected(cfg, _sources(cfg, EQUAL_TAGS, kinds))
+            p_ind = _projected_fourfold(cfg, cmp, equal)
+            p_dis = _projected_fourfold(cfg, cmp, _detected(cfg, _sources(cfg, DISTINCT_TAGS, kinds)))
             hom = abs(p_ind - p_dis) > 1e-12
             if p_ind > 1e-12:
                 verdict = SURVIVES
@@ -541,8 +558,7 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
                 cmp_blocked = False
             else:
                 verdict = CROSS_BLOCKED
-                p_nocmp = _projected_fourfold(cfg, {}, EQUAL_TAGS, kinds)
-                cmp_blocked = p_nocmp > 1e-12
+                cmp_blocked = equal[1] > 1e-12  # the four-fold probability before the CMP
             reports[kinds] = ComboReport(verdict, hom, cmp_blocked, p_ind)
     return TermClassification(reports)
 
@@ -550,11 +566,11 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
 def _projected_fourfold(
     cfg: PipelineConfig,
     projection: Mapping[str, Projector1],
-    tags: tuple[int, int],
-    kinds: tuple[str, str] | None = None,
+    detected: tuple[PhotonicState, float],
 ) -> float:
-    """Four-fold probability after the given projectors, in detector order."""
-    state, p = _detected(cfg, _sources(cfg, tags, kinds))
+    """Four-fold probability of a detected state after the given projectors,
+    in detector order."""
+    state, p = detected
     for path in cfg.detector_paths:
         if p == 0.0:
             return 0.0
@@ -577,8 +593,8 @@ def hom_scan(
     """
     if set(projection) != set(cfg.detector_paths):
         raise ValueError("need exactly one projector per detector path")
-    p_ind = _projected_fourfold(cfg, projection, EQUAL_TAGS)
-    p_dis = _projected_fourfold(cfg, projection, DISTINCT_TAGS)
+    p_ind = _projected_fourfold(cfg, projection, cfg.detected[EQUAL_TAGS])
+    p_dis = _projected_fourfold(cfg, projection, cfg.detected[DISTINCT_TAGS])
     out = []
     for o in overlaps:
         if not 0.0 <= o <= 1.0:

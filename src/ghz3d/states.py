@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 ELL_MAX = 5  # largest |OAM| quantum number tracked by the simulator
@@ -36,22 +37,31 @@ class NotNormalized(ValueError):
     """Operation requires unit-norm input states."""
 
 
-@dataclass(frozen=True, order=True)
-class ModeLabel:
+class ModeLabel(tuple):
     """A single optical mode: path id, OAM value, distinguishability tag.
 
     Tag 0 is the default spectral mode; photons with different tags never
-    interfere.  Ordering is lexicographic in (path, oam, tag), which fixes
-    the canonical occupation order used for term merging.
+    interfere.  A mode is the immutable tuple (path, oam, tag), so hashing,
+    equality and the lexicographic order that fixes the canonical occupation
+    order used for term merging all run in C.
     """
 
-    path: str
-    oam: int
-    tag: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if abs(self.oam) > ELL_MAX:
-            raise ValueError(f"|OAM|={abs(self.oam)} exceeds ELL_MAX={ELL_MAX}")
+    def __new__(cls, path: str, oam: int, tag: int = 0) -> "ModeLabel":
+        if abs(oam) > ELL_MAX:
+            raise ValueError(f"|OAM|={abs(oam)} exceeds ELL_MAX={ELL_MAX}")
+        return tuple.__new__(cls, (path, oam, tag))
+
+    def __getnewargs__(self) -> tuple[str, int, int]:
+        return tuple(self)
+
+    path = property(itemgetter(0))
+    oam = property(itemgetter(1))
+    tag = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"ModeLabel(path={self[0]!r}, oam={self[1]!r}, tag={self[2]!r})"
 
 
 Occupation = tuple[ModeLabel, ...]

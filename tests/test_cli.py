@@ -137,6 +137,10 @@ OUT_OF_WINDOW = [{"kind": k, "paths": ["A"]} for k in ("SPP_REFLECT", "MIRROR", 
         (["simulate"], {"pipeline": {"sorter": {"swap_phase": "x"}}}, "invalid pipeline config"),
         (["simulate"], {"pipeline": {"mirrors": {"d": [1]}}}, "invalid pipeline config"),
         (["simulate"], {"pipeline": {"cmp": {"0": None}}}, "invalid pipeline config"),
+        # values a bool() or int() would coerce into a plausible config
+        (["simulate"], {"pipeline": {"include_c2": "no"}}, "include_c2 must be a bool: 'no'"),
+        (["simulate"], {"pipeline": {"sorter": {"odd_swaps": "x"}}}, "odd_swaps must be a bool: 'x'"),
+        (["simulate"], {"pipeline": {"mirrors": {"d": 1.5}}}, "mirror counts must be integers: mirrors[d]=1.5"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

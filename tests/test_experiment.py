@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from ghz3d import tomography
+from ghz3d import experiment, tomography
 from ghz3d.elements import ElementSpec, Projector1, SorterConvention
 from ghz3d.experiment import (
     CROSS_BLOCKED,
@@ -115,6 +115,8 @@ def test_config_mappings_are_read_only():
 
 
 SHEAR = ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "basis": (0, 1, -1)})
+# the photon on A reaches l = 4, where the last SPP_REFLECT has no image
+OUT_OF_WINDOW = tuple(ElementSpec(k, ("A",)) for k in ("SPP_REFLECT", "MIRROR", "SPP_REFLECT", "SPP_REFLECT"))
 
 
 @pytest.mark.parametrize(
@@ -125,6 +127,7 @@ SHEAR = ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": [[1, 1, 0], [0, 1, 0], [
         ({"elements_override": [ElementSpec("BEAM_SPLITTER", ("A", "A"))]}, "element 0 (BEAM_SPLITTER on A, A)"),
         ({"elements_override": [ElementSpec("MIRROR", ("A",)), SHEAR]}, "element 1 (LOCAL_UNITARY on B): matrix fails"),
         ({"elements_override": [ElementSpec("RELABEL", ("B",))]}, "element 0 (RELABEL on B): 'mapping'"),
+        ({"elements_override": OUT_OF_WINDOW}, "pipeline.elements push a photon out of the tracked OAM window"),
     ],
 )
 def test_config_rejects_a_multiport_it_cannot_build(kwargs, message):
@@ -155,6 +158,32 @@ def test_runs_build_no_element_map(monkeypatch):
     assert run_pipeline(cfg).bcd_state.num_terms == 3
     assert classify_terms(cfg).count(SURVIVES) == 3
     hom_scan(cfg, fig2_projectors(), (0.0, 1.0))
+
+
+def test_runs_reuse_the_detected_source_states(monkeypatch):
+    cfg = PipelineConfig(source1=SourceAmplitudes.from_ratios(1.7), overlap=0.5)
+    res, scan = run_pipeline(cfg), hom_scan(cfg, fig2_projectors(), (0.0, 0.3, 1.0))
+
+    def push(*args):
+        raise AssertionError("a state was pushed through the multi-port after the config")
+
+    monkeypatch.setattr(experiment, "apply", push)
+    assert run_pipeline(cfg) == res
+    assert hom_scan(cfg, fig2_projectors(), (0.0, 0.3, 1.0)) == scan
+
+
+def test_classify_terms_runs_each_combo_once_per_tag_set(monkeypatch):
+    cfg = PipelineConfig()
+    run_chain = experiment._detected
+    sources = []
+
+    def detected(cfg, state):
+        sources.append(frozenset(state.modes()))
+        return run_chain(cfg, state)
+
+    monkeypatch.setattr(experiment, "_detected", detected)
+    assert classify_terms(cfg).count(CROSS_BLOCKED) == 2
+    assert len(sources) == len(set(sources)) == 18
 
 
 # --- the target GHZ state ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -42,6 +43,20 @@ def test_mode_label_ordering_and_equality():
     assert ModeLabel("A", 0, 0) == ModeLabel("A", 0, 0)
     assert ModeLabel("A", 0) != ModeLabel("A", 0, 1)
     assert ModeLabel("A", -1) < ModeLabel("A", 0) < ModeLabel("B", -5)
+
+
+def test_mode_label_is_its_tuple():
+    modes = [ModeLabel(p, ell, t) for p in "AB" for ell in (-1, 0, 1) for t in (0, 1)]
+    for m in modes:
+        t = (m.path, m.oam, m.tag)
+        assert m == t and hash(m) == hash(t)
+        assert pickle.loads(pickle.dumps(m)) == m
+        for other in modes:
+            assert (m < other) == (t < (other.path, other.oam, other.tag))
+    assert repr(ModeLabel("A", 4)) == "ModeLabel(path='A', oam=4, tag=0)"
+    for name in ("path", "oam", "tag", "spare"):
+        with pytest.raises(AttributeError):
+            setattr(modes[0], name, 1)
 
 
 def test_mode_label_ell_max_enforced():
