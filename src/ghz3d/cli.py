@@ -260,6 +260,9 @@ def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> i
 def cmd_witness(cfg: dict, out: Path, seed: int, events: int) -> int:
     if events <= 0:
         raise ConfigError("--events must be positive")
+    # the resamples take seed + 1, and both seeds key a 64-bit Philox
+    if not 0 <= seed <= 2**64 - 2:
+        raise ConfigError(f"--seed must lie in [0, 2**64 - 2] for witness, got {seed}")
     noise = noise_params_from(cfg)
     rho = tomography.noise_model(noise)
     plan = tomography.build_witness_plan()

@@ -244,10 +244,11 @@ def lr_enumerate(max_argmax: int | None = 32) -> LREnumeration:
     norm_sq = a * a - a * b + b * b
     max_ns = int(norm_sq.max())
     max_re2 = int((2 * a - b).max())
-    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
+    # nine omega powers put a and b in [-9, 9]: code each pair as one integer
+    codes = np.unique((a + 9) * 19 + (b + 9))
     distinct = tuple(
         sorted(
-            (CyclotomicInt(int(pa), int(pb)) for pa, pb in pairs),
+            (CyclotomicInt(int(c) // 19 - 9, int(c) % 19 - 9) for c in codes),
             key=lambda z: (z.norm_sq(), z.a, z.b),
         )
     )

@@ -20,7 +20,10 @@ The fidelity estimate is therefore a ratio of two linear functionals of
 the count vector n: F = (g.n) / (d.n), where d sums the computational
 counts and g weights the ``ttt`` counts and the off-diagonal settings.  g
 and d are built once per :func:`estimate_fidelity` call, so each Poisson
-resample costs one draw and two dot products.
+resample costs one draw and two dot products.  Resample s draws from one
+Philox bit generator per call whose whole state is reset to key
+(seed, s) and counter zero before the draw; that yields the same stream as
+a freshly built ``Philox(key=(seed, s))``.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ class PlanSetting:
     def operator_vector(self) -> np.ndarray:
         v = self.kets[0].vector()
         for k in self.kets[1:]:
-            v = np.kron(v, k.vector())
+            v = np.multiply.outer(v, k.vector()).ravel()  # kron of 1-D vectors
         return v
 
     def expectation(self, rho: np.ndarray) -> float:
@@ -307,6 +310,15 @@ class CountRecord:
             raise ValueError("counts must be non-negative")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_seed(seed: int) -> None:
+    if not (_is_int(seed) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+
+
 def simulate_counts(
     rho: np.ndarray,
     plan: Sequence[PlanSetting],
@@ -318,8 +330,10 @@ def simulate_counts(
 
     Every setting gets equal measurement duration, so expected counts are
     proportional to Tr(rho P); the proportionality constant is fixed by the
-    requested total expected number of events.
+    requested total expected number of events.  Raises ValueError unless
+    ``seed`` is an int in [0, 2**64).
     """
+    _check_seed(seed)
     rho = np.asarray(rho, dtype=complex)
     probs = np.array([s.expectation(rho) for s in plan], dtype=float)
     probs = np.clip(probs, 0.0, None)
@@ -379,8 +393,13 @@ def estimate_fidelity(
     generators, so any execution order gives identical results).  Optional
     per-setting accidental counts are subtracted first, floored at zero;
     records with equal descriptors are summed.  Raises ValueError when the
-    diagonal counts (of the data or of a resample) sum to zero.
+    diagonal counts (of the data or of a resample) sum to zero, when
+    ``seed`` is not an int in [0, 2**64), or when ``n_resamples`` is not a
+    non-negative int.
     """
+    _check_seed(seed)
+    if not (_is_int(n_resamples) and n_resamples >= 0):
+        raise ValueError(f"n_resamples must be a non-negative int, got {n_resamples!r}")
     observed: dict[tuple[str, str, str], float] = {}
     for rec in records:
         value = rec.counts
@@ -398,12 +417,22 @@ def estimate_fidelity(
 
     lam = np.array([observed[k] for k in keys], dtype=float)
     base = estimate(lam)
-    if n_resamples <= 0:
+    if n_resamples == 0:
         return base, 0.0
+    bits = np.random.Philox(key=0)  # re-keyed before every draw
+    rng = np.random.Generator(bits)
+    key = [int(seed), 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # buffer spent: the next draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     estimates = np.empty(n_resamples, dtype=float)
     for s in range(n_resamples):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([np.uint64(seed), np.uint64(s)], dtype=np.uint64))
-        )
+        key[1] = s
+        bits.state = fresh
         estimates[s] = estimate(rng.poisson(lam).astype(float))
     return base, float(np.std(estimates))

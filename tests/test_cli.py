@@ -192,6 +192,14 @@ def test_witness_invalid_events(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+def test_witness_seed_out_of_range_exits_2(tmp_path, capsys, seed):
+    # the resamples are keyed with seed + 1, so 2**64 - 2 is the largest seed
+    assert run(["witness", "--out", tmp_path, "--seed", seed]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_mermin_output(tmp_path):
     assert run(["mermin", "--out", tmp_path]) == 0
     report = json.loads((tmp_path / "mermin.json").read_text())

@@ -141,6 +141,14 @@ def test_enumeration_distinct_values(enumeration):
     assert all(z.norm_sq() <= 36 for z in enumeration.distinct_values)
 
 
+def test_enumeration_distinct_values_in_order(enumeration):
+    # sorted by (norm_sq, a, b); recorded from the two-column np.unique scan
+    assert [(z.a, z.b) for z in enumeration.distinct_values] == [
+        (0, 0), (-3, -3), (-3, 0), (0, -3), (0, 3), (3, 0), (3, 3), (-6, -3),
+        (-3, -6), (-3, 3), (3, -3), (3, 6), (6, 3), (-6, -6), (0, 6), (6, 0),
+    ]
+
+
 def test_all_ones_assignment_is_maximizer():
     a = ct.Assignment((0,) * 9)
     s = a.mermin_sum()

@@ -363,6 +363,74 @@ def test_estimator_reference_values_at_witness_cli_inputs():
     assert (repr(f_est), repr(sigma)) == ("0.7442528735632186", "0.049013199920460465")
 
 
+def test_estimator_reference_values_at_other_inputs():
+    plan = tm.build_witness_plan()
+    weights = (0.6, 0.55, 0.5)
+    records = tm.simulate_counts(tm.noise_model(tm.NoiseParams(0.9, 0.75, weights)), plan, 5000, seed=7)
+    got = tm.estimate_fidelity(records, weights, n_resamples=500, seed=8)
+    assert tuple(map(repr, got)) == ("0.7203084292797713", "0.028282677022611898")
+
+    rho = tm.noise_model(tm.NoiseParams.table1())
+    records = tm.simulate_counts(rho, plan, 20000, seed=2**40 + 3)
+    accidentals = {r.descriptors: 0.5 * (i % 4) for i, r in enumerate(records)}
+    got = tm.estimate_fidelity(records, seed=12345, accidentals=accidentals)
+    assert tuple(map(repr, got)) == ("0.7818268186753532", "0.01587440702544345")
+
+    records = tm.simulate_counts(rho, plan, 1652, seed=2**64 - 2)
+    got = tm.estimate_fidelity(records, seed=2**64 - 1)
+    assert tuple(map(repr, got)) == ("0.8159340659340663", "0.06414080550776202")
+
+
+def test_estimator_repeats_exactly():
+    records = tm.simulate_counts(tm.noise_model(tm.NoiseParams.table1()), WITNESS_PLAN, 3000, seed=4)
+    first = tm.estimate_fidelity(records, n_resamples=200, seed=9)
+    assert tm.estimate_fidelity(records, n_resamples=200, seed=9) == first
+    tm.estimate_fidelity(records, n_resamples=37, seed=10)  # leaves no state behind
+    assert tm.estimate_fidelity(records, n_resamples=200, seed=9) == first
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
+def test_seed_must_be_a_64_bit_int(seed):
+    rho = tm.noise_model(tm.NoiseParams.table1())
+    with pytest.raises(ValueError, match="seed"):
+        tm.simulate_counts(rho, WITNESS_PLAN, 1652, seed=seed)
+    records = tm.simulate_counts(rho, WITNESS_PLAN, 1652)
+    with pytest.raises(ValueError, match="seed"):
+        tm.estimate_fidelity(records, n_resamples=10, seed=seed)
+
+
+@pytest.mark.parametrize("n_resamples", [-1, 2.0, True, None])
+def test_n_resamples_must_be_a_non_negative_int(n_resamples):
+    records = tm.simulate_counts(tm.noise_model(tm.NoiseParams.table1()), WITNESS_PLAN, 1652)
+    with pytest.raises(ValueError, match="n_resamples"):
+        tm.estimate_fidelity(records, n_resamples=n_resamples)
+
+
+def kron_operator_vector(setting):
+    v = setting.kets[0].vector()
+    for k in setting.kets[1:]:
+        v = np.kron(v, k.vector())
+    return v
+
+
+def test_operator_vectors_equal_the_kron_chain():
+    coinciding = tm.offdiag_projectors(((2, 1, 1), (1, 2, 1)))  # aux-q slot
+    for setting in tm.build_witness_plan() + coinciding:
+        assert np.array_equal(setting.operator_vector(), kron_operator_vector(setting))
+
+
+def test_expected_counts_equal_a_kron_reference():
+    rho = tm.noise_model(tm.NoiseParams.table1())
+    probs = []
+    for setting in WITNESS_PLAN:
+        v = kron_operator_vector(setting)
+        probs.append(float(np.real(v.conj() @ rho @ v)))
+    probs = np.clip(np.array(probs), 0.0, None)
+    lam = 1652 * probs / probs.sum()
+    records = tm.simulate_counts(rho, WITNESS_PLAN, 1652, sample=False)
+    assert np.array_equal([r.counts for r in records], lam)
+
+
 def test_estimator_needs_every_plan_setting():
     records = tm.simulate_counts(tm.noise_model(tm.NoiseParams.table1()), tm.build_witness_plan(), 1652)
     with pytest.raises(KeyError):
