@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def _jsonable(obj: Any) -> Any:
 
 
 def dump_json(obj: Any, path: Path) -> None:
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def state_to_dict(state: PhotonicState) -> dict:
@@ -106,16 +106,27 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _source_from(cfg: Mapping[str, Any] | None) -> SourceAmplitudes:
+def _number(name: str, value: Any) -> int | float:
+    """``value`` if it is a JSON number; a string, a bool or anything else is a
+    ConfigError naming the field, so that no value is coerced into a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number: {value!r}")
+    return value
+
+
+def _real(section: Mapping[str, Any], prefix: str, key: str, default: float) -> float:
+    """``section[key]``, or ``default`` when absent, as a float; see :func:`_number`."""
+    return float(_number(prefix + key, section.get(key, default)))
+
+
+def _source_from(name: str, cfg: Mapping[str, Any] | None) -> SourceAmplitudes:
     if not cfg:
         return SourceAmplitudes.balanced()
     if "c0_over_c1" in cfg:
         return SourceAmplitudes.from_ratios(
-            float(cfg["c0_over_c1"]), float(cfg.get("c1_over_c2", float("inf")))
+            _real(cfg, name, "c0_over_c1", 0.0), _real(cfg, name, "c1_over_c2", math.inf)
         )
-    return SourceAmplitudes(
-        float(cfg.get("c0", 0.0)), float(cfg.get("c1", 0.0)), float(cfg.get("c2", 0.0))
-    )
+    return SourceAmplitudes(*(_real(cfg, name, key, 0.0) for key in ("c0", "c1", "c2")))
 
 
 def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
@@ -124,7 +135,7 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
         sorter_cfg = p.get("sorter", {})
         sorter = SorterConvention(
             odd_swaps=sorter_cfg.get("odd_swaps", True),
-            swap_phase=complex(sorter_cfg.get("swap_phase", 1.0)),
+            swap_phase=complex(_real(sorter_cfg, "sorter.", "swap_phase", 1.0)),
         )
         cmp_raw = p.get("cmp", "default")
         if cmp_raw == "default":
@@ -132,16 +143,19 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
         elif cmp_raw is None:
             kwargs = {"cmp_ket": None}
         else:
-            kwargs = {"cmp_ket": {int(k): complex(v) for k, v in cmp_raw.items()}}
+            kwargs = {"cmp_ket": {int(k): complex(_number(f"cmp[{k}]", v)) for k, v in cmp_raw.items()}}
         elements_raw = p.get("elements")
         if elements_raw is not None:
             kwargs["elements_override"] = tuple(ElementSpec.from_dict(e) for e in elements_raw)
+        mirrors = dict(p.get("mirrors", DEFAULT_MIRRORS))
+        for station, count in mirrors.items():
+            _number(f"mirrors[{station}]", count)
         return PipelineConfig(
-            source1=_source_from(p.get("source1")),
-            source2=_source_from(p.get("source2", p.get("source1"))),
-            mirrors=dict(p.get("mirrors", DEFAULT_MIRRORS)),
+            source1=_source_from("source1.", p.get("source1")),
+            source2=_source_from("source2.", p.get("source2", p.get("source1"))),
+            mirrors=mirrors,
             sorter=sorter,
-            overlap=float(p.get("overlap", 1.0)),
+            overlap=_real(p, "", "overlap", 1.0),
             include_c2=p.get("include_c2", False),
             **kwargs,
         )
@@ -154,11 +168,11 @@ def spectral_model_from(cfg: Mapping[str, Any]) -> spectral.SpectralModel:
     base = spectral.SpectralModel.reference_defaults()
     try:
         return spectral.SpectralModel(
-            sigma_f=float(s.get("sigma_f_hz", base.sigma_f)),
-            sigma_p=float(s.get("sigma_p_hz", base.sigma_p)),
-            crystal_length=float(s.get("crystal_length_m", base.crystal_length)),
-            delta_inv_gv=float(s.get("delta_inv_gv_s_per_m", base.delta_inv_gv)),
-            lambda_c=float(s.get("lambda_c_m", base.lambda_c)),
+            sigma_f=_real(s, "", "sigma_f_hz", base.sigma_f),
+            sigma_p=_real(s, "", "sigma_p_hz", base.sigma_p),
+            crystal_length=_real(s, "", "crystal_length_m", base.crystal_length),
+            delta_inv_gv=_real(s, "", "delta_inv_gv_s_per_m", base.delta_inv_gv),
+            lambda_c=_real(s, "", "lambda_c_m", base.lambda_c),
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid spectral config: {exc}") from exc
@@ -170,9 +184,9 @@ def noise_params_from(cfg: Mapping[str, Any]) -> tomography.NoiseParams:
     try:
         weights = n.get("weights", base.weights)
         return tomography.NoiseParams(
-            p=float(n.get("p", base.p)),
-            c=float(n.get("c", base.c)),
-            weights=tuple(float(w) for w in weights),
+            p=_real(n, "", "p", base.p),
+            c=_real(n, "", "c", base.c),
+            weights=tuple(float(_number(f"weights[{i}]", w)) for i, w in enumerate(weights)),
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid noise config: {exc}") from exc
@@ -233,17 +247,17 @@ def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> i
         if vis is None:
             vis = spectral.visibility(model.sigma_f, model.sigma_gvm)
         dip = spectral.DipModel(
-            baseline=float(dip_cfg.get("baseline_cps", 1.0)),
-            visibility=float(vis),
-            width=float(dip_cfg.get("width_m", 800e-6)),
-            center=float(dip_cfg.get("center_m", 0.0)),
+            baseline=_real(dip_cfg, "dip.", "baseline_cps", 1.0),
+            visibility=float(_number("dip.visibility", vis)),
+            width=_real(dip_cfg, "dip.", "width_m", 800e-6),
+            center=_real(dip_cfg, "dip.", "center_m", 0.0),
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid dip config: {exc}") from exc
     if x_steps < 2:
         raise ConfigError("--x-steps must be at least 2")
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise ConfigError(f"--x-min and --x-max must be finite: {x_min}, {x_max}")
+    if not math.isfinite(x_max - x_min):  # NaN or infinite ends, or a span past the float range
+        raise ConfigError(f"--x-min and --x-max must span a finite range: {x_min}, {x_max}")
     xs = np.linspace(x_min, x_max, x_steps)
     rows = spectral.dip_curve(dip, xs)
     lines = [
@@ -316,18 +330,31 @@ def cmd_mermin(cfg: dict, out: Path) -> int:
     return 0
 
 
+def _derived(inputs: str, compute: Callable[[], Any]) -> Any:
+    """``compute()``, a number or a dict of numbers derived from the rate file;
+    an overflow, a zero division or a non-finite result is a ConfigError
+    naming the rate-file ``inputs`` it is derived from."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not all(map(math.isfinite, value.values() if isinstance(value, dict) else [value])):
+        raise ConfigError(f"rate file {inputs} are out of range: a derived value is not finite")
+    return value
+
+
 def cmd_counts(cfg: dict, out: Path) -> int:
     try:
-        rep_rate = float(cfg["rep_rate_hz"])
-        tau = float(cfg["tau_int_s"])
-        eta = float(cfg["eta"])
-        singles = {k: float(v) for k, v in cfg["singles"].items()}
-        pairs = {k: float(v) for k, v in cfg["pairs"].items()}
+        rep_rate = float(_number("rep_rate_hz", cfg["rep_rate_hz"]))
+        tau = float(_number("tau_int_s", cfg["tau_int_s"]))
+        eta = float(_number("eta", cfg["eta"]))
+        singles = {k: float(_number(f"singles[{k}]", v)) for k, v in cfg["singles"].items()}
+        pairs = {k: float(_number(f"pairs[{k}]", v)) for k, v in cfg["pairs"].items()}
         model = counts_mod.RateModel(
             rep_rate=rep_rate,
             tau_int=tau,
             eta=eta,
-            pair_rate=float(cfg.get("pair_rate_hz", 0.0)),
+            pair_rate=_real(cfg, "", "pair_rate_hz", 0.0),
             singles=singles,
             pairs=pairs,
         )
@@ -340,28 +367,37 @@ def cmd_counts(cfg: dict, out: Path) -> int:
     if missing_s:
         raise ConfigError(f"rate file lacks singles for detectors: {missing_s}")
 
-    pulses = rep_rate * tau
-    p_pair = {k: pairs[k] / pulses for k in counts_mod.PAIR_KEYS}
+    keys = counts_mod.PAIR_KEYS
+    pulse_inputs, acc_inputs = "pairs, rep_rate_hz, tau_int_s", "singles, rep_rate_hz, tau_int_s"
+    pulses = _derived("rep_rate_hz, tau_int_s", lambda: rep_rate * tau)
+    p_pair = _derived(pulse_inputs, lambda: {k: pairs[k] / pulses for k in keys})
+    too_many = [f"pairs[{k}]={pairs[k]:.12g}" for k in keys if p_pair[k] > 1.0]
+    if too_many:
+        raise ConfigError(f"rate file pairs exceed the {pulses:.12g} pulses per window: {too_many}")
     p4 = counts_mod.fourfold_probability(
         p_pair["AB"], p_pair["CD"], p_pair["AC"], p_pair["BD"], p_pair["AD"], p_pair["BC"]
     )
-    acc_rate = {
-        k: counts_mod.accidental_pair(singles[k[0]], singles[k[1]], tau, rep_rate)
-        for k in counts_mod.PAIR_KEYS
-    }
-    acc_prob = {k: acc_rate[k] / rep_rate for k in counts_mod.PAIR_KEYS}
-    acc4 = counts_mod.accidental_fourfold(acc_prob, p_pair) * pulses
-    p4_counts = p4 * pulses
-    mu = counts_mod.mean_photon_number(model.pair_rate, eta, rep_rate) if model.pair_rate else None
+    acc_rate = _derived(
+        acc_inputs,
+        lambda: {k: counts_mod.accidental_pair(singles[k[0]], singles[k[1]], tau, rep_rate) for k in keys},
+    )
+    acc_prob = {k: acc_rate[k] / rep_rate for k in keys}
+    acc4 = _derived(f"{acc_inputs}, pairs", lambda: counts_mod.accidental_fourfold(acc_prob, p_pair) * pulses)
+    p4_counts = _derived(pulse_inputs, lambda: p4 * pulses)
+    mu = higher_order = None
+    if model.pair_rate:
+        mu_inputs = "pair_rate_hz, eta, rep_rate_hz"
+        mu = _derived(mu_inputs, lambda: counts_mod.mean_photon_number(model.pair_rate, eta, rep_rate))
+        higher_order = _derived(mu_inputs, lambda: counts_mod.higher_order_ratio(mu, eta))
     report = {
         "p4_probability_per_pulse": p4,
         "p4_predicted": p4_counts,
         "acc_pairs": acc_rate,
-        "acc_pairs_per_window": {k: v * tau for k, v in acc_rate.items()},
+        "acc_pairs_per_window": _derived(acc_inputs, lambda: {k: v * tau for k, v in acc_rate.items()}),
         "acc_fourfold": acc4,
         "corrected": counts_mod.subtract(p4_counts, acc4),
         "mu": mu,
-        "higher_order_ratio": None if mu is None else counts_mod.higher_order_ratio(mu, eta),
+        "higher_order_ratio": higher_order,
     }
     dump_json(report, out / "counts.json")
     return 0

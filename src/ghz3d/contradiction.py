@@ -32,10 +32,6 @@ OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 SETTINGS = ("X", "Y", "W")
 
 
-class NoValidBranch(RuntimeError):
-    """No fractional-power branch yields the concurrent eigenvalue table."""
-
-
 class NotEigenstate(RuntimeError):
     """A concurrent-set product fails to have the GHZ state as eigenstate."""
 
@@ -147,28 +143,16 @@ CONCURRENT_TABLE: tuple[tuple[str, int], ...] = (
 )  # (product, eigenvalue as omega exponent)
 
 
-def build_operators(branch: int | None = None) -> OperatorSet:
-    """X, Y, W, Z with a fractional-power branch passing the concurrent check.
-
-    The principal branch is tried first; construction fails over to the
-    remaining cube-root branches and raises NoValidBranch if none passes.
-    """
+def build_operators() -> OperatorSet:
+    """X, Y, W, Z on the principal fractional-power branch, checked against the
+    concurrent set (NotEigenstate if a product fails; branches 1, 2 never pass)."""
     x = _shift()
     z = np.diag([OMEGA**t for t in range(3)])
-    branches = (branch,) if branch is not None else (0, 1, 2)
-    ghz, _ = ideal_ghz()
-    for b in branches:
-        z13 = _z_fractional(1, b)
-        z23 = _z_fractional(2, b)
-        y = z13 @ x @ z13.conj().T
-        w = z23 @ x @ z23.conj().T
-        ops = OperatorSet(x=x, y=y, w=w, z=z, branch=b)
-        try:
-            concurrent_set_check(ops, ghz)
-        except NotEigenstate:
-            continue
-        return ops
-    raise NoValidBranch("no fractional-power branch satisfies the concurrent set")
+    z13 = _z_fractional(1, 0)
+    z23 = _z_fractional(2, 0)
+    ops = OperatorSet(x=x, y=z13 @ x @ z13.conj().T, w=z23 @ x @ z23.conj().T, z=z, branch=0)
+    concurrent_set_check(ops, ideal_ghz()[0])
+    return ops
 
 
 def _three_body(ops: OperatorSet, names: str) -> np.ndarray:
@@ -178,22 +162,20 @@ def _three_body(ops: OperatorSet, names: str) -> np.ndarray:
     return m
 
 
-def concurrent_set_check(
-    ops: OperatorSet, ghz: np.ndarray, tol: float = 1e-10
-) -> dict[str, complex]:
+def concurrent_set_check(ops: OperatorSet, ghz: np.ndarray) -> dict[str, complex]:
     """Verify each listed product has the GHZ state as eigenstate.
 
     Returns the product -> eigenvalue table; raises NotEigenstate when a
-    residual exceeds ``tol`` or an eigenvalue is off the expected table.
+    residual exceeds 1e-10 or an eigenvalue is off the expected table by more.
     """
     out: dict[str, complex] = {}
     for names, exponent in CONCURRENT_TABLE:
         op = _three_body(ops, names)
         image = op @ ghz
         lam = complex(ghz.conj() @ image)
-        if np.linalg.norm(image - lam * ghz) > tol:
+        if np.linalg.norm(image - lam * ghz) > 1e-10:
             raise NotEigenstate(f"{names}: GHZ is not an eigenstate")
-        if abs(lam - OMEGA**exponent) > tol:
+        if abs(lam - OMEGA**exponent) > 1e-10:
             raise NotEigenstate(f"{names}: eigenvalue {lam} != omega^{exponent}")
         out[names] = lam
     return out
@@ -233,12 +215,12 @@ class LREnumeration:
         return self.max_real_doubled / 2.0
 
 
-def lr_enumerate(max_argmax: int | None = 32) -> LREnumeration:
+def lr_enumerate() -> LREnumeration:
     """Scan all 3^9 assignments of the nine local observables exactly.
 
     The sum lives in Z[omega]; the scan works on integer pairs (a, b) and
-    the distinct-value set uses exact CyclotomicInt equality.  ``max_argmax``
-    caps how many maximizing assignments are materialized (None for all).
+    the distinct-value set uses exact CyclotomicInt equality.  At most the
+    first 32 maximizing assignments are materialized.
     """
     a, b = _kernels.lr_scan()
     norm_sq = a * a - a * b + b * b
@@ -253,9 +235,7 @@ def lr_enumerate(max_argmax: int | None = 32) -> LREnumeration:
         )
     )
     (argmax_idx,) = np.nonzero(norm_sq == max_ns)
-    if max_argmax is not None:
-        argmax_idx = argmax_idx[:max_argmax]
-    argmax = tuple(Assignment.from_index(int(i)) for i in argmax_idx)
+    argmax = tuple(Assignment.from_index(int(i)) for i in argmax_idx[:32])
     return LREnumeration(
         count=int(a.shape[0]),
         max_modulus_sq=max_ns,

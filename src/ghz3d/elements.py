@@ -215,7 +215,7 @@ def project(proj: Projector1, state: PhotonicState) -> tuple[PhotonicState, floa
         for ell, c in proj.ket:
             key = tuple(sorted(rest + (ModeLabel(proj.path, ell, mode.tag),)))
             out[key] = out.get(key, 0.0) + amp * c
-    projected = PhotonicState(out).prune()
+    projected = PhotonicState(out)
     if projected.is_zero:
         return projected, 0.0
     prob = projected.norm() ** 2
@@ -234,15 +234,18 @@ ELEMENT_KINDS = (
 
 def _numbers(name: str, value: object) -> Iterator[tuple[str, complex]]:
     """(name, number) for every number nested in a params value, e.g.
-    ``("matrix[1][2]", 0.5)``."""
+    ``("matrix[1][2]", 0.5)``; any other leaf, such as a string or a bool, is
+    a ValueError, so that no param is coerced into a number."""
     if isinstance(value, Mapping):
         for key, item in value.items():
             yield from _numbers(f"{name}[{key}]", item)
     elif isinstance(value, (list, tuple, np.ndarray)):
         for i, item in enumerate(value):
             yield from _numbers(f"{name}[{i}]", item)
-    elif isinstance(value, numbers.Number):
+    elif isinstance(value, numbers.Number) and not isinstance(value, bool):
         yield name, value
+    else:
+        raise ValueError(f"{name} must be a number: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -267,9 +270,11 @@ class ElementSpec:
         if self.kind in ("BEAM_SPLITTER", "PARITY_SORTER") and len(self.paths) != 2:
             raise ValueError(f"{self.kind} takes exactly 2 paths")
         params = dict(self.params)
+        # odd_swaps is the one bool param; SorterConvention checks it
+        numeric = {key: value for key, value in params.items() if key != "odd_swaps"}
         require_finite(
             f"{self.kind} params",
-            **{name: v for key, value in params.items() for name, v in _numbers(str(key), value)},
+            **{name: v for key, value in numeric.items() for name, v in _numbers(str(key), value)},
         )
         object.__setattr__(self, "paths", tuple(self.paths))
         object.__setattr__(self, "params", MappingProxyType(params))

@@ -607,8 +607,7 @@ def factorization_check(
     four_photon_state: PhotonicState,
     a_state: PhotonicState,
     bcd_state: PhotonicState,
-    tol: float = 1e-10,
 ) -> bool:
-    """Whether the detected multi-photon state is (photon A) x (rest)."""
+    """Whether the detected multi-photon state is (photon A) x (rest), to 1e-10 in fidelity."""
     product = tensor(a_state, bcd_state)
-    return fidelity_pure(four_photon_state, product) >= 1.0 - tol
+    return fidelity_pure(four_photon_state, product) >= 1.0 - 1e-10

@@ -9,6 +9,8 @@ Amplitudes are coefficients of creation-operator monomials: a term
 ``a (a†_m)^2 |0>`` stores amplitude ``a``.  All algebra is done on these
 coefficients; the Fock normalization ``sqrt(prod n_m!)`` enters only in
 :meth:`PhotonicState.fock_amplitude`, norms and inner products.
+One pruning rule holds everywhere: a state never holds an amplitude with
+``|a| <= PRUNE_EPS``; the :class:`PhotonicState` constructor drops them.
 
 Everything here is an immutable value; all operations are pure functions.
 """
@@ -22,7 +24,7 @@ from typing import Iterable, Mapping
 
 ELL_MAX = 5  # largest |OAM| quantum number tracked by the simulator
 
-PRUNE_EPS = 1e-14  # amplitude pruning threshold after each map application
+PRUNE_EPS = 1e-14  # a state drops every term with |amplitude| <= PRUNE_EPS
 
 
 class UnsupportedMode(Exception):
@@ -93,16 +95,16 @@ def _occupation_factorial(occ: Occupation) -> float:
 
 
 class PhotonicState:
-    """A finite superposition of same-photon-number Fock terms."""
+    """A finite superposition of same-photon-number Fock terms, built from an
+    occupation -> amplitude mapping.  Equal occupations are summed; a non-finite
+    amplitude or nonzero terms of mixed photon numbers are a ValueError; terms
+    with |amplitude| <= PRUNE_EPS are dropped."""
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self, terms: Mapping[Occupation, complex] | Iterable[tuple[Occupation, complex]]
-    ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[Occupation, complex]) -> None:
         merged: dict[Occupation, complex] = {}
-        for occ, amp in items:
+        for occ, amp in terms.items():
             occ = _canonical(occ)
             merged[occ] = merged.get(occ, 0.0) + complex(amp)
         total = sum(merged.values(), 0j)  # a finite sum proves every term finite
@@ -110,19 +112,18 @@ class PhotonicState:
             for occ, a in merged.items():
                 if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                     raise ValueError(f"non-finite amplitude {a} on occupation {occ}")
-        merged = {occ: a for occ, a in merged.items() if a != 0}
-        sizes = {len(occ) for occ in merged}
+        sizes = {len(occ) for occ, a in merged.items() if a != 0}
         if len(sizes) > 1:
             raise ValueError(f"inhomogeneous photon numbers: {sorted(sizes)}")
-        self._terms = merged
+        self._terms = {occ: a for occ, a in merged.items() if abs(a) > PRUNE_EPS}
 
     @classmethod
     def vacuum(cls) -> "PhotonicState":
         return cls({(): 1.0})
 
     @classmethod
-    def single(cls, mode: ModeLabel, amplitude: complex = 1.0) -> "PhotonicState":
-        return cls({(mode,): amplitude})
+    def single(cls, mode: ModeLabel) -> "PhotonicState":
+        return cls({(mode,): 1.0})
 
     @property
     def terms(self) -> tuple[FockTerm, ...]:
@@ -173,10 +174,6 @@ class PhotonicState:
 
     def scale(self, factor: complex) -> "PhotonicState":
         return PhotonicState({occ: amp * factor for occ, amp in self._terms.items()})
-
-    def prune(self) -> "PhotonicState":
-        """Drop terms with |amplitude| <= PRUNE_EPS."""
-        return PhotonicState({occ: a for occ, a in self._terms.items() if abs(a) > PRUNE_EPS})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhotonicState):
@@ -290,7 +287,7 @@ def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:
         for modes, a in partial:
             key = _canonical(modes)
             out[key] = out.get(key, 0.0) + a
-    return PhotonicState(out).prune()
+    return PhotonicState(out)
 
 
 def tensor(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
@@ -339,11 +336,11 @@ def inner(s1: PhotonicState, s2: PhotonicState) -> complex:
     return total
 
 
-def fidelity_pure(s1: PhotonicState, s2: PhotonicState, norm_tol: float = 1e-9) -> float:
-    """|<s1|s2>|^2 for normalized pure states of equal photon number."""
+def fidelity_pure(s1: PhotonicState, s2: PhotonicState) -> float:
+    """|<s1|s2>|^2 for normalized pure states of equal photon number (norms within 1e-9 of 1)."""
     for s in (s1, s2):
-        if abs(s.norm() - 1.0) > norm_tol:
-            raise NotNormalized(f"state norm {s.norm()} deviates from 1 by more than {norm_tol}")
+        if abs(s.norm() - 1.0) > 1e-9:
+            raise NotNormalized(f"state norm {s.norm()} deviates from 1 by more than 1e-09")
     if s1.photon_number != s2.photon_number:
         raise ValueError("fidelity requires equal photon numbers")
     return min(abs(inner(s1, s2)) ** 2, 1.0)

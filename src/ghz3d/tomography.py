@@ -50,7 +50,7 @@ class NotDensityMatrix(ValueError):
     """Matrix fails hermiticity, trace or positivity checks."""
 
 
-def check_density_matrix(rho: np.ndarray, eig_tol: float = 1e-8) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (HILBERT, HILBERT):
         raise NotDensityMatrix(f"expected {HILBERT}x{HILBERT}, got {rho.shape}")
@@ -59,7 +59,7 @@ def check_density_matrix(rho: np.ndarray, eig_tol: float = 1e-8) -> np.ndarray:
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise NotDensityMatrix("trace differs from 1 by more than 1e-10")
     smallest = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
-    if smallest < -eig_tol:
+    if smallest < -1e-8:
         raise NotDensityMatrix(f"negative eigenvalue {smallest}")
     return rho
 
@@ -123,9 +123,9 @@ def schmidt_coeffs(psi: np.ndarray, party: int) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
-def srv(psi: np.ndarray, tol: float = 1e-7) -> tuple[int, int, int]:
-    """Schmidt rank vector across the three one-vs-rest bipartitions."""
-    return tuple(int(np.sum(schmidt_coeffs(psi, p) > tol)) for p in range(3))  # type: ignore[return-value]
+def srv(psi: np.ndarray) -> tuple[int, int, int]:
+    """Schmidt rank vector across the three one-vs-rest bipartitions (coefficients > 1e-7)."""
+    return tuple(int(np.sum(schmidt_coeffs(psi, p) > 1e-7)) for p in range(3))  # type: ignore[return-value]
 
 
 def witness_bound(psi: np.ndarray) -> float:

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghz3d.cli import main
+from ghz3d.cli import dump_json, main
 from ghz3d.elements import ELEMENT_KINDS
 from ghz3d.experiment import MIRROR_STATIONS
 
@@ -92,6 +92,12 @@ NONUNITARY = {
 }
 # the photon on A reaches l = 4, where the last SPP_REFLECT has no image
 OUT_OF_WINDOW = [{"kind": k, "paths": ["A"]} for k in ("SPP_REFLECT", "MIRROR", "SPP_REFLECT", "SPP_REFLECT")]
+# finite rate files whose derived probabilities or counts leave their domain
+OVERFULL_PAIRS = dict(RATES, rep_rate_hz=7.6e7, pairs=dict(RATES["pairs"], AB=1e9))
+HUGE_WINDOW = dict(RATES, rep_rate_hz=1e200, tau_int_s=1e200)
+TINY_ETA = dict(RATES, eta=1e-200)
+HUGE_SINGLES = dict(RATES, singles=dict(RATES["singles"], A=1e300, B=1e300))
+STRING_PHASE_SORTER = {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {"swap_phase": "1"}}
 
 
 @pytest.mark.parametrize(
@@ -141,6 +147,19 @@ OUT_OF_WINDOW = [{"kind": k, "paths": ["A"]} for k in ("SPP_REFLECT", "MIRROR", 
         (["simulate"], {"pipeline": {"include_c2": "no"}}, "include_c2 must be a bool: 'no'"),
         (["simulate"], {"pipeline": {"sorter": {"odd_swaps": "x"}}}, "odd_swaps must be a bool: 'x'"),
         (["simulate"], {"pipeline": {"mirrors": {"d": 1.5}}}, "mirror counts must be integers: mirrors[d]=1.5"),
+        # derived values out of domain: a pair probability above 1, overflows, an underflow
+        (["counts"], OVERFULL_PAIRS, "pairs[AB]=1000000000"),
+        (["counts"], HUGE_WINDOW, "rep_rate_hz, tau_int_s are out of range"),
+        (["counts"], TINY_ETA, "eta"),
+        (["counts"], HUGE_SINGLES, "singles"),
+        (["hom", "--x-min=-1.7e308", "--x-max=1.7e308", "--x-steps", 3], {}, "--x-min and --x-max"),
+        # numbers given as strings or booleans are not coerced
+        (["simulate"], {"pipeline": {"overlap": "0.5"}}, "overlap must be a number: '0.5'"),
+        (["simulate"], {"pipeline": {"overlap": True}}, "overlap must be a number: True"),
+        (["witness"], {"noise": {"p": "0.9"}}, "p must be a number: '0.9'"),
+        (["simulate"], {"pipeline": {"source1": {"c0_over_c1": "1.2"}}}, "source1.c0_over_c1 must be a number"),
+        (["simulate"], {"pipeline": {"elements": [STRING_PHASE_SORTER]}}, "swap_phase must be a number: '1'"),
+        (["counts"], dict(RATES, singles=dict(RATES["singles"], C=True)), "singles[C] must be a number: True"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):
@@ -149,6 +168,13 @@ def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, f
     assert run([*args, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert field in capsys.readouterr().err
     assert not any((tmp_path / "out").iterdir())
+
+
+def test_dump_json_refuses_nonfinite_numbers(tmp_path):
+    for bad in (math.nan, math.inf, {"x": [1.0, -math.inf]}):
+        with pytest.raises(ValueError):
+            dump_json(bad, tmp_path / "out.json")
+    assert not any(tmp_path.iterdir())
 
 
 def test_hom_curve(tmp_path):

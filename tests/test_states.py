@@ -10,6 +10,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from ghz3d.states import (
     ELL_MAX,
+    PRUNE_EPS,
     LinearMap,
     ModeLabel,
     NotNormalized,
@@ -251,6 +252,22 @@ def test_nonfinite_amplitude_rejected():
     PhotonicState({(A0,): 1e308, (A1,): 1e308})
 
 
+def test_amplitudes_at_or_below_prune_eps_are_dropped():
+    s = PhotonicState({(A0,): 1.0, (A1,): PRUNE_EPS, (B1,): 2 * PRUNE_EPS})
+    assert s.num_terms == 2
+    assert s.amplitude((A1,)) == 0.0
+    assert s.amplitude((B1,)) == 2 * PRUNE_EPS
+    assert PhotonicState({(A0,): 1j * PRUNE_EPS}).is_zero
+    # a map output obeys the same rule: 1.2e-14 splits into two halves of 8.5e-15
+    out = apply(beam_splitter("A", "B"), PhotonicState({(A0,): 1.0, (A1,): 1.2 * PRUNE_EPS}))
+    assert {t.occupation for t in out.terms} == {(A0,), (ModeLabel("B", 0),)}
+
+
+def test_tiny_term_with_another_photon_number_still_raises():
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        PhotonicState({(A0,): 1.0, (A0, B1): PRUNE_EPS / 2})
+
+
 def test_apply_raises_on_nan_coefficient():
     m = LinearMap({A0: ((A0, math.nan),)})
     with pytest.raises(ValueError, match="non-finite"):
@@ -393,7 +410,10 @@ def states(draw, repeated=False):
     if repeated:
         occupations[0][1] = occupations[0][0]
     parts = st.floats(-1.0, 1.0)
-    terms = [(tuple(occ), complex(draw(parts), draw(parts))) for occ in occupations]
+    terms = {}
+    for occ in occupations:
+        key = tuple(sorted(occ))
+        terms[key] = terms.get(key, 0.0) + complex(draw(parts), draw(parts))
     state = PhotonicState(terms)
     if state.norm() < 1e-3:
         reject()
