@@ -67,6 +67,6 @@ def p4_sums(weights: np.ndarray, phi: np.ndarray, phase: np.ndarray) -> tuple[fl
     """
     wphi = weights[:, None] * phi
     i2 = float(np.sum(wphi * phi * weights[None, :]))
-    h = np.einsum("i,ij,ik->jk", weights * phase, phi, phi)
-    cross = float(np.real(np.einsum("j,k,jk->", weights, weights, h * np.conj(h))))
+    h = ((weights * phase)[:, None] * phi).T @ phi
+    cross = float(((h.real**2 + h.imag**2) @ weights) @ weights)
     return i2, cross

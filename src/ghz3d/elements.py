@@ -287,6 +287,13 @@ class ElementSpec:
         return cls(str(d["kind"]), tuple(d.get("paths", ())), dict(d.get("params", {})))
 
 
+def _oam(name: str, value: object) -> int:
+    """An OAM value read from element params; a non-integral one is a ValueError naming it."""
+    if not (isinstance(value, numbers.Real) and value == int(value)):
+        raise ValueError(f"OAM values must be integers: {name}={value}")
+    return int(value)
+
+
 def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
     """Instantiate the LinearMap described by an ElementSpec."""
     p = spec.params
@@ -303,12 +310,15 @@ def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> Line
         )
         return parity_sorter(spec.paths[0], spec.paths[1], conv, tags=tags)
     if spec.kind == "LOCAL_UNITARY":
-        return local_unitary(
-            spec.paths[0], np.asarray(p["matrix"], dtype=complex), tuple(p["basis"]), tags=tags
-        )
+        basis = tuple(_oam(f"basis[{i}]", ell) for i, ell in enumerate(p["basis"]))
+        return local_unitary(spec.paths[0], np.asarray(p["matrix"], dtype=complex), basis, tags=tags)
     if spec.kind == "RELABEL":
         mapping = {
-            int(old): (int(new), complex(phase) if not isinstance(phase, (list, tuple)) else complex(*phase))
+            # JSON object keys arrive as strings
+            _oam(f"mapping key {old!r}", int(old) if isinstance(old, str) else old): (
+                _oam(f"mapping[{old}]", new),
+                complex(phase) if not isinstance(phase, (list, tuple)) else complex(*phase),
+            )
             for old, (new, phase) in dict(p["mapping"]).items()
         }
         return relabel(spec.paths[0], mapping, tags=tags)

@@ -217,36 +217,100 @@ def dip_curve(dip: DipModel, positions: Sequence[float]) -> tuple[tuple[float, f
     return tuple((float(x), float(r)) for x, r in zip(xs, rates))
 
 
+#: Levenberg-Marquardt constants of fit_dip, in the scaled units it fits in
+_FIT_MAX_STEPS = 300
+_FIT_XTOL = 1e-10
+_FIT_GTOL = 1e-6
+_FIT_MAX_DAMPING = 1e10
+
+
 def fit_dip(samples: Sequence[tuple[float, float]]) -> DipModel:
     """Least-squares fit of the four dip parameters to (position, rate) data.
 
-    Round-trips noiseless dip_curve data to 1e-6 relative accuracy.
-    """
-    # scipy takes about half a second to import and nothing else needs it
-    from scipy.optimize import curve_fit
+    Levenberg-Marquardt with the analytic Jacobian, run on positions scaled
+    to (x - min) / span and rates scaled to y / max(y).  The start is
+    baseline max(y), visibility 1 - min(y)/max(y) (at least 1e-3), width
+    span/6 and center at the lowest sample.
 
+    Bounds: every trial point is clipped to baseline >= 0, visibility in
+    [0, 1], width >= 1e-15 and center in [min - span, max + span], and a
+    parameter that sits on a bound the descent direction points across is
+    held there for that step.  A trial point is accepted when it does not
+    raise the squared residual; otherwise the damping grows tenfold.
+
+    Convergence: the fit ends when the residual is orthogonal to each
+    Jacobian column of a parameter not held at a bound to within a cosine
+    of 1e-6, or when an accepted step moves no scaled parameter by more
+    than 1e-10.  FitDiverged is raised when the damping passes 1e10 without
+    an accepted point, or after 300 accepted steps; data without a
+    resolvable dip, such as a flat few-count scan whose best fit is a spike
+    through one sample, can end either way.  Round-trips noiseless
+    dip_curve data to 1e-6 relative accuracy.
+    """
     if len(samples) < 5:
         raise ValueError("need at least 5 samples spanning the dip")
     xs = np.asarray([s[0] for s in samples], dtype=float)
     ys = np.asarray([s[1] for s in samples], dtype=float)
-
-    def f(x, baseline, vis, width, center):
-        return baseline * (1.0 - vis * np.exp(-(((x - center) / width) ** 2)))
-
-    baseline0 = float(np.max(ys))
-    vis0 = float(np.clip(1.0 - np.min(ys) / baseline0 if baseline0 > 0 else 0.0, 0.0, 1.0))
-    center0 = float(xs[np.argmin(ys)])
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("dip samples must be finite")
     span = float(np.ptp(xs))
-    width0 = max(span / 6.0, 1e-12)
-    try:
-        popt, _ = curve_fit(
-            f,
-            xs,
-            ys,
-            p0=(baseline0, max(vis0, 1e-3), width0, center0),
-            bounds=([0.0, 0.0, 1e-15, xs.min() - span], [np.inf, 1.0, np.inf, xs.max() + span]),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise FitDiverged(str(exc)) from exc
-    return DipModel(baseline=float(popt[0]), visibility=float(popt[1]), width=float(popt[2]), center=float(popt[3]))
+    if not 0.0 < span < math.inf:
+        raise ValueError(f"dip sample positions must span a positive, finite range: span={span}")
+    if (ys < 0).any():
+        raise ValueError(f"dip rates must be non-negative: min rate={ys.min()}")
+
+    x_min = float(xs.min())
+    y_max = float(ys.max())
+    y_scale = y_max or 1.0
+    x = (xs - x_min) / span
+    y = ys / y_scale
+    vis0 = 1.0 - ys.min() / y_max if y_max > 0 else 0.0
+    p = np.array([y_max / y_scale, max(vis0, 1e-3), max(1.0 / 6.0, 1e-12 / span), x[np.argmin(ys)]])
+    lo = np.array([0.0, 0.0, 1e-15 / span, -1.0])
+    hi = np.array([np.inf, 1.0, np.inf, 2.0])
+
+    def residual(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """y - f(x; p), the Jacobian of f and the squared residual."""
+        b, v, w, c = p
+        u = (x - c) / w
+        e = np.exp(-u * u)
+        r = y - b * (1.0 - v * e)
+        jac = np.stack([1.0 - v * e, -b * e, -2.0 * b * v * e * u * u / w, -2.0 * b * v * e * u / w], axis=1)
+        return r, jac, float(r @ r)
+
+    r, jac, cost = residual(p)
+    damping = 1e-3
+    for _ in range(_FIT_MAX_STEPS):
+        descent = jac.T @ r
+        normal = jac.T @ jac
+        held = ((p <= lo) & (descent < 0)) | ((p >= hi) & (descent > 0))
+        free = np.flatnonzero(~held)
+        # the residual is orthogonal to every free column of jac to within GTOL
+        if np.all(np.abs(descent[free]) <= _FIT_GTOL * np.sqrt(np.diag(normal)[free] * cost)):
+            break
+        normal = normal[np.ix_(free, free)]
+        # the floor keeps the damped system regular where a column of jac vanishes
+        diag = np.diag(np.maximum(np.diag(normal), 1e-30))
+        while True:
+            step = np.zeros(4)
+            step[free] = np.linalg.solve(normal + damping * diag, descent[free])
+            trial = np.clip(p + step, lo, hi)
+            r_t, jac_t, cost_t = residual(trial)
+            if cost_t <= cost:
+                break
+            damping *= 10.0
+            if damping > _FIT_MAX_DAMPING:
+                raise FitDiverged(f"no step lowers the squared residual {cost * y_scale**2:.6g}")
+        moved = float(np.max(np.abs(trial - p)))
+        p, r, jac, cost = trial, r_t, jac_t, cost_t
+        damping = max(damping / 10.0, 1e-12)
+        if moved <= _FIT_XTOL:
+            break
+    else:
+        raise FitDiverged(f"no convergence in {_FIT_MAX_STEPS} steps")
+    return DipModel(
+        baseline=float(p[0] * y_scale),
+        visibility=float(p[1]),
+        width=float(p[2] * span),
+        center=float(p[3] * span + x_min),
+    )

@@ -98,6 +98,13 @@ HUGE_WINDOW = dict(RATES, rep_rate_hz=1e200, tau_int_s=1e200)
 TINY_ETA = dict(RATES, eta=1e-200)
 HUGE_SINGLES = dict(RATES, singles=dict(RATES["singles"], A=1e300, B=1e300))
 STRING_PHASE_SORTER = {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {"swap_phase": "1"}}
+# OAM values that int() would truncate or that name no tracked mode
+FRACTIONAL_RELABEL = {"kind": "RELABEL", "paths": ["Z"], "params": {"mapping": {"0": [1.5, 1]}}}
+FRACTIONAL_BASIS = {
+    "kind": "LOCAL_UNITARY",
+    "paths": ["B"],
+    "params": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "basis": [0.5, 1, 2]},
+}
 
 
 @pytest.mark.parametrize(
@@ -160,6 +167,8 @@ STRING_PHASE_SORTER = {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {
         (["simulate"], {"pipeline": {"source1": {"c0_over_c1": "1.2"}}}, "source1.c0_over_c1 must be a number"),
         (["simulate"], {"pipeline": {"elements": [STRING_PHASE_SORTER]}}, "swap_phase must be a number: '1'"),
         (["counts"], dict(RATES, singles=dict(RATES["singles"], C=True)), "singles[C] must be a number: True"),
+        (["simulate"], {"pipeline": {"elements": [FRACTIONAL_RELABEL]}}, "must be integers: mapping[0]=1.5"),
+        (["simulate"], {"pipeline": {"elements": [FRACTIONAL_BASIS]}}, "must be integers: basis[0]=0.5"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

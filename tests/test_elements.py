@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,3 +205,15 @@ def test_element_spec_rejects_nested_nonfinite_params():
         ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": matrix, "basis": (0, 1, -1)})
     with pytest.raises(ValueError, match=r"mapping\[1\]\[1\]\[0\]=nan"):
         ElementSpec("RELABEL", ("B",), {"mapping": {1: (-1, [math.nan, 0.0])}})
+
+
+def test_build_element_rejects_non_integral_relabel_key():
+    # JSON keys are strings, which the CLI tests cover; a library caller can pass a float
+    with pytest.raises(ValueError, match=re.escape("mapping key 1.5")):
+        build_element(ElementSpec("RELABEL", ("Z",), {"mapping": {1.5: (2, 1.0)}}))
+
+
+def test_build_element_reads_integral_oam_values_as_ints():
+    m = build_element(ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": np.eye(3), "basis": (0.0, 1.0, -1.0)}))
+    modes = [mode for src, image in m.entries.items() for mode in (src, *(dst for dst, _ in image))]
+    assert {type(mode.oam) for mode in modes} == {int}

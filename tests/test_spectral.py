@@ -2,12 +2,14 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 import ghz3d
@@ -136,6 +138,38 @@ def test_hermite_nodes_cached_and_read_only():
             a[0] = 0.0
 
 
+NO_SCIPY = """
+import importlib, pkgutil, sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import ghz3d
+
+for info in pkgutil.iter_modules(ghz3d.__path__):
+    importlib.import_module(f"ghz3d.{info.name}")
+from ghz3d import spectral
+
+spectral.p4_numeric(spectral.SpectralModel.reference_defaults(), 0.5e-12)
+truth = spectral.DipModel(baseline=7.0, visibility=0.834, width=800e-6, center=35e-6)
+spectral.fit_dip(spectral.dip_curve(truth, [k * 1e-4 for k in range(-25, 26)]))
+"""
+
+
+def test_package_runs_without_scipy():
+    # every module imports, and the P4 quadrature and the dip fit run, while
+    # any import of scipy fails
+    env = dict(os.environ, PYTHONPATH=str(Path(ghz3d.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # only fit_dip needs scipy, and no subcommand calls it
     env = dict(os.environ, PYTHONPATH=str(Path(ghz3d.__file__).parents[1]))
@@ -183,6 +217,72 @@ def test_fit_poisson_noise_recovers_visibility():
 def test_fit_needs_enough_samples():
     with pytest.raises(ValueError):
         sp.fit_dip([(0.0, 1.0)] * 4)
+
+
+DIP_XS = np.linspace(-1e-3, 1e-3, 21)
+
+
+@pytest.mark.parametrize(
+    "samples,message",
+    [
+        ([(float(x), 50.0) for x in DIP_XS[:-1]] + [(math.nan, 50.0)], "must be finite"),
+        ([(float(x), 50.0) for x in DIP_XS[:-1]] + [(1e-3, math.inf)], "must be finite"),
+        ([(0.0, float(r)) for r in range(10)], "span=0.0"),
+        ([(float(x), 50.0) for x in DIP_XS[:-1]] + [(1e-3, -1.0)], "min rate=-1.0"),
+    ],
+    ids=["nan-position", "inf-rate", "zero-span", "negative-rate"],
+)
+def test_fit_rejects_samples_outside_its_domain(samples, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sp.fit_dip(samples)
+
+
+# Results of the earlier fit (scipy.optimize.curve_fit, trust-region
+# reflective, default tolerances) on Poisson-noised dips over 41 positions in
+# [-2.5e-3, 2.5e-3]: (truth, numpy seed, fitted baseline, visibility, width,
+# center).  Both fits stop at the same least-squares minimum.
+SCIPY_FITS = [
+    ((100.0, 0.834, 800e-6, 0.0), 20180404,
+     (104.78669248302172, 0.8515469529916486, 0.0008482642668583767, 1.209721707596504e-05)),
+    ((100.0, 0.834, 800e-6, 0.0), 17,
+     (100.75868164807424, 0.8302597928635903, 0.0008051799940996565, 1.233375353429598e-05)),
+    ((400.0, 0.7, 500e-6, 600e-6), 5,
+     (403.0689203668201, 0.7027181511883597, 0.0005175981220367844, 0.000595309313123793)),
+    ((2000.0, 0.9, 480e-6, -900e-6), 4244,
+     (2007.235872911302, 0.900014678571074, 0.0004803884594789791, -0.0009043425043715286)),
+]
+
+
+@pytest.mark.parametrize("truth,seed,expected", SCIPY_FITS)
+def test_fit_matches_pinned_least_squares_minimum(truth, seed, expected):
+    xs = np.linspace(-2.5e-3, 2.5e-3, 41)
+    clean = sp.DipModel(*truth).rate(xs)
+    noisy = np.random.default_rng(seed).poisson(clean).astype(float)
+    fitted = sp.fit_dip(list(zip(xs, noisy)))
+    baseline, vis, width, center = expected
+    assert fitted.baseline == pytest.approx(baseline, rel=1e-5)
+    assert fitted.visibility == pytest.approx(vis, rel=1e-5)
+    assert fitted.width == pytest.approx(width, rel=1e-5)
+    # a center near 0 is pinned on the scale of the width
+    assert fitted.center == pytest.approx(center, rel=1e-5, abs=1e-5 * width)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    baseline=st.floats(1e-2, 1e5),
+    vis=st.floats(0.1, 1.0),
+    width_frac=st.floats(1 / 20, 1 / 3),
+    center_frac=st.floats(-1 / 4, 1 / 4),
+    span=st.floats(1e-6, 1e2),
+    n=st.integers(21, 81),
+)
+def test_fit_round_trips_noiseless_dips(baseline, vis, width_frac, center_frac, span, n):
+    truth = sp.DipModel(baseline=baseline, visibility=vis, width=width_frac * span, center=center_frac * span)
+    fitted = sp.fit_dip(sp.dip_curve(truth, np.linspace(-span / 2, span / 2, n)))
+    assert fitted.baseline == pytest.approx(truth.baseline, rel=1e-6)
+    assert fitted.visibility == pytest.approx(truth.visibility, rel=1e-6)
+    assert fitted.width == pytest.approx(truth.width, rel=1e-6)
+    assert fitted.center == pytest.approx(truth.center, abs=truth.width * 1e-6)
 
 
 def test_invalid_model_parameters_rejected():
