@@ -55,6 +55,7 @@ from .states import (
     apply,
     extend_identity,
     fidelity_pure,
+    fold,
     postselect,
     tensor,
 )
@@ -147,9 +148,11 @@ class PipelineConfig:
     elements_override: tuple[ElementSpec, ...] | None = None
     restrict_detection: bool = True  # drop modes outside the c2-free support
     # computed by __post_init__: every element of pipeline_elements(self) with
-    # its map over both runs' tags, the CMP projector (None without CMP), and
-    # the full source state of each run through the multi-port, postselected
+    # its map over both runs' tags, the chain folded into one map, the CMP
+    # projector (None without CMP), and the full source state of each run
+    # through the multi-port, postselected
     multiport: tuple[tuple[ElementSpec, LinearMap], ...] = field(init=False, repr=False, compare=False)
+    multiport_map: LinearMap = field(init=False, repr=False, compare=False)
     cmp: Projector1 | None = field(init=False, repr=False, compare=False)
     detected: Mapping[tuple[int, int], tuple[PhotonicState, float]] = field(
         init=False, repr=False, compare=False
@@ -190,7 +193,9 @@ class PipelineConfig:
         except ValueError as exc:
             raise ValueError(f"cmp_ket: {exc}") from None
         object.__setattr__(self, "cmp", cmp)
-        object.__setattr__(self, "multiport", _compile_multiport(self))
+        multiport, multiport_map = _compile_multiport(self)
+        object.__setattr__(self, "multiport", multiport)
+        object.__setattr__(self, "multiport_map", multiport_map)
         try:
             detected = {tags: _detected(self, _sources(self, tags)) for tags in (EQUAL_TAGS, DISTINCT_TAGS)}
         except UnsupportedMode as exc:
@@ -258,11 +263,15 @@ def pipeline_elements(cfg: PipelineConfig) -> tuple[ElementSpec, ...]:
     return tuple(chain)
 
 
-def _compile_multiport(cfg: PipelineConfig) -> tuple[tuple[ElementSpec, LinearMap], ...]:
+def _compile_multiport(
+    cfg: PipelineConfig,
+) -> tuple[tuple[tuple[ElementSpec, LinearMap], ...], LinearMap]:
     """Each element of ``pipeline_elements(cfg)`` with its map over the tags of
-    both runs, identity-extended over all tracked modes of the paths in use, so
-    a photon pushed out of the OAM window raises UnsupportedMode.  An element
-    that cannot be built is a ValueError naming it.
+    both runs, identity-extended over all tracked modes of the paths in use,
+    and the chain folded into one map over those modes.  A mode whose photon
+    the chain pushes out of the OAM window is left out of the folded map's
+    support, so occupying it raises UnsupportedMode.  An element that cannot
+    be built is a ValueError naming it.
     """
     specs = pipeline_elements(cfg)
     paths = set(cfg.detector_paths).union(*(spec.paths for spec in specs))
@@ -275,7 +284,7 @@ def _compile_multiport(cfg: PipelineConfig) -> tuple[tuple[ElementSpec, LinearMa
         except (KeyError, TypeError, ValueError) as exc:
             where = f"pipeline element {i} ({spec.kind} on {', '.join(spec.paths)})"
             raise ValueError(f"{where}: {exc}") from None
-    return tuple(chain)
+    return tuple(chain), fold([m for _, m in chain], all_modes)
 
 
 def _sources(
@@ -293,9 +302,7 @@ def _sources(
 
 def _detected(cfg: PipelineConfig, state: PhotonicState) -> tuple[PhotonicState, float]:
     """A source state through the multi-port, postselected on one photon per detector."""
-    for _, m in cfg.multiport:
-        state = apply(m, state)
-    return postselect(state, cfg.detector_paths)
+    return postselect(apply(cfg.multiport_map, state), cfg.detector_paths)
 
 
 @dataclass(frozen=True)

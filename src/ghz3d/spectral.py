@@ -133,13 +133,19 @@ def _hermite(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
+@functools.lru_cache(maxsize=4)
 def _nodes(model: SpectralModel, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Hermite frequencies, effective weights and the JSA sampled on them."""
+    """Read-only Gauss-Hermite frequencies, effective weights and the JSA
+    sampled on them.  Only the phase of a P4 quadrature depends on the delay,
+    so a delay scan samples these once per order; the last four are kept."""
     x, w, exp_x2 = _hermite(order)
     # scale so the product-state diagonal decay matches the GH weight
     lam = 1.0 / math.sqrt(2.0 / model.sigma_f**2 + 2.0 / model.sigma_s**2)
     omega = lam * x
-    return omega, lam * w * exp_x2, model.jsa(omega[:, None], omega[None, :])
+    arrays = (omega, lam * w * exp_x2, model.jsa(omega[:, None], omega[None, :]))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _p4_quadrature(model: SpectralModel, delta_t: float, order: int) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 ELL_MAX = 5  # largest |OAM| quantum number tracked by the simulator
 
@@ -197,7 +197,9 @@ class LinearMap:
     (output mode, coefficient) pairs.  ``unitary`` asserts column
     orthonormality of the coefficient matrix restricted to the support.
     A map declared unitary is checked once, at construction, in time linear in
-    its nonzeros and with no way to skip it: build a map once, apply it often.
+    its nonzeros: build a map once, apply it often.  The one map built without
+    the check is :func:`extend_identity`'s, whose added identity columns are
+    orthonormal to a checked map's by construction.
     """
 
     entries: Mapping[ModeLabel, tuple[tuple[ModeLabel, complex], ...]]
@@ -207,6 +209,16 @@ class LinearMap:
         object.__setattr__(self, "entries", dict(self.entries))
         if self.unitary and not self.check_unitary():
             raise ValueError("map declared unitary but fails column orthonormality")
+
+    @classmethod
+    def _trusted(
+        cls, entries: dict[ModeLabel, tuple[tuple[ModeLabel, complex], ...]], unitary: bool
+    ) -> "LinearMap":
+        """A map whose unitary flag the caller has proved; the check is not run."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "unitary", unitary)
+        return m
 
     @property
     def support(self) -> set[ModeLabel]:
@@ -243,13 +255,29 @@ def extend_identity(m: LinearMap, modes: Iterable[ModeLabel]) -> LinearMap:
     adding identity on an image mode would destroy injectivity (and the
     unitary flag).  Such modes stay unsupported and occupying them raises
     UnsupportedMode downstream, which keeps truncation errors loud.
+    Each added column is a unit vector on a mode no other column hits, so a
+    unitary map stays column-orthonormal and is not checked again.
     """
     entries = dict(m.entries)
     image = {dst for img in m.entries.values() for dst, _ in img}
     for mode in modes:
         if mode not in entries and mode not in image:
             entries[mode] = ((mode, 1.0),)
-    return LinearMap(entries, unitary=m.unitary)
+    return LinearMap._trusted(entries, m.unitary)
+
+
+def _push(
+    image: tuple[tuple[ModeLabel, complex], ...], m: LinearMap
+) -> tuple[tuple[ModeLabel, complex], ...]:
+    """A superposition of modes through ``m``, in mode order, exact zeros dropped.
+
+    Raises UnsupportedMode if the superposition holds a mode outside the support.
+    """
+    acc: dict[ModeLabel, complex] = {}
+    for mid, c1 in image:
+        for dst, c2 in m.image(mid):
+            acc[dst] = acc.get(dst, 0.0) + c1 * c2
+    return tuple(sorted((dst, c) for dst, c in acc.items() if c != 0))
 
 
 def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
@@ -258,14 +286,31 @@ def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
     Every output mode of ``inner`` must be supported by ``outer``.
     The composition of two unitary-flagged maps is unitary-flagged.
     """
-    entries: dict[ModeLabel, tuple[tuple[ModeLabel, complex], ...]] = {}
-    for src, image in inner.entries.items():
-        acc: dict[ModeLabel, complex] = {}
-        for mid, c1 in image:
-            for dst, c2 in outer.image(mid):
-                acc[dst] = acc.get(dst, 0.0) + c1 * c2
-        entries[src] = tuple(sorted(((m, c) for m, c in acc.items() if c != 0)))
+    entries = {src: _push(image, outer) for src, image in inner.entries.items()}
     return LinearMap(entries, unitary=outer.unitary and inner.unitary)
+
+
+def fold(chain: Sequence[LinearMap], modes: Iterable[ModeLabel]) -> LinearMap:
+    """One map equal to applying the maps of ``chain`` in turn, on ``modes``.
+
+    Each mode's image is pushed through the chain from the identity, so an
+    empty chain gives the identity on ``modes``.  A mode whose image meets a
+    mode some later map does not support is left out of the support: applying
+    the fold to a state occupying it raises UnsupportedMode, even where
+    interference between the state's terms would have emptied that component
+    before it left.  The fold is unitary-flagged, and checked, when every map
+    of the chain is.
+    """
+    entries = {}
+    for mode in modes:
+        image = ((mode, 1.0),)
+        try:
+            for m in chain:
+                image = _push(image, m)
+        except UnsupportedMode:
+            continue
+        entries[mode] = image
+    return LinearMap(entries, unitary=all(m.unitary for m in chain))
 
 
 def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:

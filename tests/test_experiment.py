@@ -172,6 +172,24 @@ def test_runs_reuse_the_detected_source_states(monkeypatch):
     assert hom_scan(cfg, fig2_projectors(), (0.0, 0.3, 1.0)) == scan
 
 
+def test_detected_applies_one_map_per_source_state(monkeypatch):
+    amps = SourceAmplitudes.from_ratios(1.7, 2.0)
+    cfg = PipelineConfig(source1=amps, source2=amps, include_c2=True, mirrors=DETAILED_SETUP_MIRRORS)
+    assert len(cfg.multiport) == 7
+    run_apply = experiment.apply
+    maps = []
+
+    def counted(m, state):
+        maps.append(m)
+        return run_apply(m, state)
+
+    monkeypatch.setattr(experiment, "apply", counted)
+    for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
+        maps.clear()
+        assert experiment._detected(cfg, experiment._sources(cfg, tags)) == cfg.detected[tags]
+        assert len(maps) == 1 and maps[0] is cfg.multiport_map
+
+
 def test_classify_terms_runs_each_combo_once_per_tag_set(monkeypatch):
     cfg = PipelineConfig()
     run_chain = experiment._detected

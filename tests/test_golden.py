@@ -1,12 +1,15 @@
 """Byte identity of the CLI artifacts across refactors.
 
 The ``simulate`` digests were recorded from the implementation that rebuilt
-and re-checked every element map on each pass through the multi-port.
-Compiling the chain once per configuration performs the same arithmetic per
-stage, so ``state.json`` and ``report.json`` must not change by a single
-byte.  The digests of the other four subcommands were recorded from the
-implementation that still carried a second, jitted backend for the LR scan
-and the P4 sums; the numpy path they ran is the one that remains.
+and re-checked every element map on each pass through the multi-port, and
+the ``empty_chain`` digests from the one that pushed each source state
+through the chain one element at a time.  Folding the chain into one map
+sums the same products in another order, so amplitudes may move in their
+last bits; ``state.json`` and ``report.json`` hold because the artifacts
+carry 12 significant digits.  The digests of the other four subcommands
+were recorded from the implementation that still carried a second, jitted
+backend for the LR scan and the P4 sums; the numpy path they ran is the one
+that remains.
 """
 
 import hashlib
@@ -30,6 +33,8 @@ CONFIGS = {
             "source1": {"c0_over_c1": 1.2, "c1_over_c2": 2.5},
         }
     },
+    # no element at all: the folded multi-port is the identity
+    "empty_chain": {"pipeline": {"elements": []}},
 }
 
 # sha256 of each artifact of the default config and seed; ``counts`` reads
@@ -61,6 +66,10 @@ GOLDEN = {
     "partial_overlap_c2": (
         "c55157b5043fe3485d7cbac088f39a413f3849a0c07245dc5678f8d261182a4a",
         "b0956d0be2ea2a6e6ebb2d12a659d447e6293b397e8ab0678262c954567a7064",
+    ),
+    "empty_chain": (
+        "7f4052387f57f3da0743d07c27392f6ad1b29f9beed317551a181ad6cd71b660",
+        "da1e3b378a7550566eab46fc93edc0d39b999a550eaf0ec19dced017424b3a1e",
     ),
 }
 

@@ -14,6 +14,7 @@ from numpy.polynomial.hermite import hermgauss
 
 import ghz3d
 from ghz3d import spectral as sp
+from ghz3d._kernels import p4_sums
 
 SGVM_REF = sp.sigma_gvm(1e-3, 1.6e-9)
 
@@ -125,6 +126,23 @@ def test_p4_convergence_guard():
     model = model_with_filter(2.0 * SGVM_REF)
     with pytest.raises(sp.QuadratureNotConverged):
         sp.p4_numeric(model, 0.0, order=4)
+
+
+def test_p4_scan_samples_the_jsa_once_per_order():
+    model = sp.SpectralModel.reference_defaults()
+    delays = np.linspace(-2e-12, 2e-12, 7)
+    sp._nodes.cache_clear()
+    values = [sp.p4_numeric(model, dt) for dt in delays]
+    info = sp._nodes.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * len(delays) - 2)
+    # bit-identical to sampling the nodes afresh for every delay
+    omega, weights, phi = sp._nodes.__wrapped__(model, sp.DEFAULT_QUAD_ORDER)
+    for dt, value in zip(delays, values):
+        i2, cross = p4_sums(weights, phi, np.exp(-1j * omega * dt))
+        assert value == 2.0 * i2**2 - 2.0 * cross
+    for a in sp._nodes(model, sp.DEFAULT_QUAD_ORDER):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_hermite_nodes_cached_and_read_only():

@@ -21,6 +21,7 @@ from ghz3d.states import (
     compose,
     extend_identity,
     fidelity_pure,
+    fold,
     inner,
     postselect,
     tensor,
@@ -372,6 +373,19 @@ def test_check_unitary_matches_brute_force(entries):
     assert LinearMap(entries).check_unitary() == brute_force_unitary(entries)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_maps(), st.sets(st.sampled_from(MAP_MODES + [ModeLabel("C", ell) for ell in ELLS])))
+def test_identity_extension_of_a_checked_map_is_unitary(entries, modes):
+    # extend_identity trusts the unitary flag of its input instead of checking again
+    try:
+        m = LinearMap(entries, unitary=True)
+    except ValueError:
+        reject()
+    extended = extend_identity(m, modes)
+    assert extended.unitary
+    assert extended.check_unitary()
+
+
 # --- properties of element chains -------------------------------------------------
 
 CHAIN_PATHS = "ABC"
@@ -448,6 +462,54 @@ def test_apply_of_compose_is_sequential_apply(state, outer, inner):
     except UnsupportedMode:
         reject()
     assert_states_close(apply(composed, state), sequential)
+
+
+def apply_in_turn(chain, state):
+    for m in chain:
+        state = apply(m, state)
+    return state
+
+
+def unless_unsupported(f):
+    try:
+        return f()
+    except UnsupportedMode:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(states(), st.lists(elements(), max_size=5))
+def test_fold_is_the_chain_applied_in_turn(state, chain):
+    folded = fold(chain, CHAIN_MODES)
+    assert folded.unitary
+    in_turn = unless_unsupported(lambda: apply_in_turn(chain, state))
+    once = unless_unsupported(lambda: apply(folded, state))
+    if in_turn is None:
+        assert once is None
+    if once is not None:
+        assert_states_close(once, in_turn)
+    # one term: no interference between terms can empty a mode, so the two
+    # raise together
+    term = PhotonicState({state.terms[0].occupation: 1.0})
+    in_turn = unless_unsupported(lambda: apply_in_turn(chain, term))
+    once = unless_unsupported(lambda: apply(folded, term))
+    assert (in_turn is None) == (once is None)
+    if once is not None:
+        assert_states_close(once, in_turn)
+
+
+def test_fold_support_does_not_depend_on_the_state():
+    # A+iB at l=4 leaves the splitter wholly in B, so the reflection + SPP on A
+    # (unsupported at l=4) never sees a photon in turn; the folded map still
+    # leaves A:4 and B:4 out of its support
+    a4, b4 = ModeLabel("A", 4), ModeLabel("B", 4)
+    chain = [extend_identity(m, CHAIN_MODES) for m in (beam_splitter("A", "B"), spp_reflect("A"))]
+    state = PhotonicState({(a4,): 1.0, (b4,): 1j}).normalize()
+    assert_states_close(apply_in_turn(chain, state), PhotonicState({(b4,): 1j}))
+    folded = fold(chain, CHAIN_MODES)
+    assert a4 not in folded.support and b4 not in folded.support
+    with pytest.raises(UnsupportedMode):
+        apply(folded, state)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
