@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import contradiction, counts as counts_mod, spectral, tomography
-from .elements import ElementSpec, SorterConvention
+from .elements import ElementSpec, SorterConvention, _oam_keys
 from .experiment import (
     DEFAULT_MIRRORS,
     PipelineConfig,
@@ -143,7 +143,8 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
         elif cmp_raw is None:
             kwargs = {"cmp_ket": None}
         else:
-            kwargs = {"cmp_ket": {int(k): complex(_number(f"cmp[{k}]", v)) for k, v in cmp_raw.items()}}
+            cmp_ket = {k: complex(_number(f"cmp[{k}]", v)) for k, v in cmp_raw.items()}
+            kwargs = {"cmp_ket": _oam_keys("cmp", cmp_ket)}
         elements_raw = p.get("elements")
         if elements_raw is not None:
             kwargs["elements_override"] = tuple(ElementSpec.from_dict(e) for e in elements_raw)

@@ -14,10 +14,15 @@ Conventions declared once, here:
 * parity sorter: even stays / odd swaps by default, phases +1; the routing
   and swap phase are constructor parameters since four conventions are
   physically sensible.
+
+The mirror, SPP, beam splitter and parity sorter maps depend only on their
+paths, tags (a tuple) and sorter convention, so each is built and checked
+once per process and shared from then on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -42,7 +47,8 @@ class NotUnitary(ValueError):
     """Matrix handed to local_unitary is not unitary."""
 
 
-def mirror(path: str, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
+@functools.lru_cache(maxsize=64)
+def mirror(path: str, tags: tuple[int, ...] = DEFAULT_TAGS) -> LinearMap:
     """Reflection: flips the OAM sign on one path.  Involution."""
     entries = {}
     for ell in ELLS:
@@ -51,7 +57,8 @@ def mirror(path: str, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
     return LinearMap(entries, unitary=True)
 
 
-def spp_reflect(path: str, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
+@functools.lru_cache(maxsize=64)
+def spp_reflect(path: str, tags: tuple[int, ...] = DEFAULT_TAGS) -> LinearMap:
     """Reflection combined with a charge-2 spiral phase plate: l -> -l + 2.
 
     Supported on |l| <= ELL_MAX - 2 so the image stays inside the tracked
@@ -64,7 +71,8 @@ def spp_reflect(path: str, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
     return LinearMap(entries, unitary=True)
 
 
-def beam_splitter(p1: str, p2: str, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
+@functools.lru_cache(maxsize=64)
+def beam_splitter(p1: str, p2: str, tags: tuple[int, ...] = DEFAULT_TAGS) -> LinearMap:
     """Symmetric 50/50 beam splitter combining two paths, per (OAM, tag)."""
     if p1 == p2:
         raise ValueError("beam splitter needs two distinct paths")
@@ -94,11 +102,12 @@ class SorterConvention:
             raise ValueError(f"sorter swap_phase must be unimodular: {self.swap_phase}")
 
 
+@functools.lru_cache(maxsize=64)
 def parity_sorter(
     p1: str,
     p2: str,
     convention: SorterConvention = SorterConvention(),
-    tags: Sequence[int] = DEFAULT_TAGS,
+    tags: tuple[int, ...] = DEFAULT_TAGS,
 ) -> LinearMap:
     """Interferometric sorter routing photons by OAM parity.
 
@@ -202,20 +211,21 @@ def project(proj: Projector1, state: PhotonicState) -> tuple[PhotonicState, floa
     """
     coeffs = dict(proj.ket)
     out: dict = {}
-    for term in state.terms:
-        in_path = [m for m in term.occupation if m.path == proj.path]
+    # in term order: the last bits of the sums below depend on it
+    for occupation, amplitude in sorted(state._terms.items()):
+        in_path = [m for m in occupation if m.path == proj.path]
         if len(in_path) != 1:
             continue
         mode = in_path[0]
         overlap = coeffs.get(mode.oam)
         if not overlap:
             continue
-        rest = tuple(m for m in term.occupation if m.path != proj.path)
-        amp = term.amplitude * overlap.conjugate()
+        rest = tuple(m for m in occupation if m.path != proj.path)
+        amp = amplitude * overlap.conjugate()
         for ell, c in proj.ket:
             key = tuple(sorted(rest + (ModeLabel(proj.path, ell, mode.tag),)))
             out[key] = out.get(key, 0.0) + amp * c
-    projected = PhotonicState(out)
+    projected = PhotonicState._trusted(out)
     if projected.is_zero:
         return projected, 0.0
     prob = projected.norm() ** 2
@@ -288,15 +298,37 @@ class ElementSpec:
 
 
 def _oam(name: str, value: object) -> int:
-    """An OAM value read from element params; a non-integral one is a ValueError naming it."""
+    """An OAM value read from element params or from a JSON object key (a
+    string of an integer); a non-integral one is a ValueError naming it."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            raise ValueError(f"OAM values must be integers: {name}={value}") from None
     if not (isinstance(value, numbers.Real) and value == int(value)):
         raise ValueError(f"OAM values must be integers: {name}={value}")
     return int(value)
 
 
+def _oam_keys(name: str, mapping: Mapping[object, complex]) -> dict[int, complex]:
+    """``mapping`` keyed by OAM value, each key read by :func:`_oam`; a key
+    outside the tracked window |l| <= ELL_MAX, or one naming the same value
+    as an earlier key (``"0"`` and ``"00"``), is a ValueError naming it."""
+    out: dict[int, complex] = {}
+    for key, value in mapping.items():
+        ell = _oam(f"{name}[{key}]", key)
+        if abs(ell) > ELL_MAX:
+            raise ValueError(f"OAM values must lie in the tracked window |l| <= {ELL_MAX}: {name}[{key}]")
+        if ell in out:
+            raise ValueError(f"OAM values must be distinct: {name}[{key}] repeats l={ell}")
+        out[ell] = value
+    return out
+
+
 def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
     """Instantiate the LinearMap described by an ElementSpec."""
     p = spec.params
+    tags = tuple(tags)
     if spec.kind == "MIRROR":
         return mirror(spec.paths[0], tags=tags)
     if spec.kind == "SPP_REFLECT":
@@ -314,8 +346,7 @@ def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> Line
         return local_unitary(spec.paths[0], np.asarray(p["matrix"], dtype=complex), basis, tags=tags)
     if spec.kind == "RELABEL":
         mapping = {
-            # JSON object keys arrive as strings
-            _oam(f"mapping key {old!r}", int(old) if isinstance(old, str) else old): (
+            _oam(f"mapping key {old!r}", old): (
                 _oam(f"mapping[{old}]", new),
                 complex(phase) if not isinstance(phase, (list, tuple)) else complex(*phase),
             )

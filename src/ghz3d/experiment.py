@@ -44,12 +44,14 @@ from .elements import (
     ElementSpec,
     Projector1,
     SorterConvention,
+    _oam_keys,
     build_element,
     project,
 )
 from .states import (
     LinearMap,
     ModeLabel,
+    Occupation,
     PhotonicState,
     UnsupportedMode,
     apply,
@@ -83,6 +85,15 @@ CMP_KET = {0: 1.0, -1: 1.0}  # normalized by Projector1.of
 #: per-source tags of the two runs: indistinguishable and distinguishable photons
 EQUAL_TAGS = (0, 0)
 DISTINCT_TAGS = (1, 2)
+
+EVEN, ODD_PLUS, ODD_MINUS = "even", "odd+", "odd-"
+TERM_KINDS = (EVEN, ODD_PLUS, ODD_MINUS)
+C2_PLUS, C2_MINUS = "c2+", "c2-"
+
+#: OAM values (first path, second path) of each pair term a source emits
+PAIR_ELLS = {EVEN: (0, 0), ODD_PLUS: (1, -1), ODD_MINUS: (-1, 1), C2_PLUS: (2, -2), C2_MINUS: (-2, 2)}
+#: every OAM value a source photon can carry
+SOURCE_ELLS = tuple(sorted({ell for pair in PAIR_ELLS.values() for ell in pair}))
 
 
 @dataclass(frozen=True)
@@ -165,7 +176,8 @@ class PipelineConfig:
             raise ValueError("source paths must be four distinct paths")
         if not isinstance(self.include_c2, bool):
             raise ValueError(f"include_c2 must be a bool: {self.include_c2!r}")
-        cmp_ket = {} if self.cmp_ket is None else {int(k): complex(v) for k, v in self.cmp_ket.items()}
+        cmp_ket = {} if self.cmp_ket is None else _oam_keys("cmp_ket", self.cmp_ket)
+        cmp_ket = {ell: complex(v) for ell, v in cmp_ket.items()}
         require_finite(
             "pipeline config",
             overlap=self.overlap,
@@ -219,16 +231,15 @@ def spdc_state(
     include_c2: bool = False,
 ) -> PhotonicState:
     """Two-photon state emitted by one source into its two paths."""
-    p, q = paths
-    terms = {
-        (ModeLabel(p, 0, tag), ModeLabel(q, 0, tag)): amps.c0,
-        (ModeLabel(p, 1, tag), ModeLabel(q, -1, tag)): amps.c1,
-        (ModeLabel(p, -1, tag), ModeLabel(q, 1, tag)): amps.c1,
-    }
+    weights = {EVEN: amps.c0, ODD_PLUS: amps.c1, ODD_MINUS: amps.c1}
     if include_c2 and amps.c2:
-        terms[(ModeLabel(p, 2, tag), ModeLabel(q, -2, tag))] = amps.c2
-        terms[(ModeLabel(p, -2, tag), ModeLabel(q, 2, tag))] = amps.c2
-    return PhotonicState(terms)
+        weights.update({C2_PLUS: amps.c2, C2_MINUS: amps.c2})
+    return PhotonicState({_pair_term(kind, paths, tag): w for kind, w in weights.items()})
+
+
+def _pair_term(kind: str, paths: Sequence[str], tag: int) -> Occupation:
+    """The two modes a pair term of ``kind`` occupies."""
+    return tuple(ModeLabel(path, ell, tag) for path, ell in zip(paths, PAIR_ELLS[kind]))
 
 
 def pipeline_elements(cfg: PipelineConfig) -> tuple[ElementSpec, ...]:
@@ -268,14 +279,15 @@ def _compile_multiport(
 ) -> tuple[tuple[tuple[ElementSpec, LinearMap], ...], LinearMap]:
     """Each element of ``pipeline_elements(cfg)`` with its map over the tags of
     both runs, identity-extended over all tracked modes of the paths in use,
-    and the chain folded into one map over those modes.  A mode whose photon
-    the chain pushes out of the OAM window is left out of the folded map's
-    support, so occupying it raises UnsupportedMode.  An element that cannot
-    be built is a ValueError naming it.
+    and the chain folded into one map over the source modes, the only modes
+    a state applied to it occupies.  A source mode whose photon the chain
+    pushes out of the OAM window is left out of the folded map's support, so
+    occupying it raises UnsupportedMode.  An element that cannot be built is
+    a ValueError naming it.
     """
     specs = pipeline_elements(cfg)
     paths = set(cfg.detector_paths).union(*(spec.paths for spec in specs))
-    tags = sorted({*EQUAL_TAGS, *DISTINCT_TAGS})
+    tags = tuple(sorted({*EQUAL_TAGS, *DISTINCT_TAGS}))
     all_modes = {ModeLabel(p, ell, t) for p in paths for ell in ELLS for t in tags}
     chain = []
     for i, spec in enumerate(specs):
@@ -284,7 +296,19 @@ def _compile_multiport(
         except (KeyError, TypeError, ValueError) as exc:
             where = f"pipeline element {i} ({spec.kind} on {', '.join(spec.paths)})"
             raise ValueError(f"{where}: {exc}") from None
-    return tuple(chain), fold([m for _, m in chain], all_modes)
+    return tuple(chain), fold([m for _, m in chain], _source_modes(cfg))
+
+
+def _source_modes(cfg: PipelineConfig) -> set[ModeLabel]:
+    """Every mode a photon of either source occupies in either run: its
+    paths x SOURCE_ELLS x its tag in EQUAL_TAGS and in DISTINCT_TAGS."""
+    return {
+        ModeLabel(path, ell, tags[i])
+        for tags in (EQUAL_TAGS, DISTINCT_TAGS)
+        for i, paths in enumerate((cfg.source1_paths, cfg.source2_paths))
+        for path in paths
+        for ell in SOURCE_ELLS
+    }
 
 
 def _sources(
@@ -494,18 +518,13 @@ def logical_state_vector(
     return vec / n if n else vec
 
 
-EVEN, ODD_PLUS, ODD_MINUS = "even", "odd+", "odd-"
-TERM_KINDS = (EVEN, ODD_PLUS, ODD_MINUS)
-
 SURVIVES = "SURVIVES"
 PARITY_BLOCKED = "PARITY_BLOCKED"
 CROSS_BLOCKED = "CROSS_BLOCKED"
 
 
 def _single_term_source(kind: str, paths: Sequence[str], tag: int) -> PhotonicState:
-    p, q = paths
-    ells = {EVEN: (0, 0), ODD_PLUS: (1, -1), ODD_MINUS: (-1, 1)}[kind]
-    return PhotonicState({(ModeLabel(p, ells[0], tag), ModeLabel(q, ells[1], tag)): 1.0})
+    return PhotonicState({_pair_term(kind, paths, tag): 1.0})
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Amplitudes are coefficients of creation-operator monomials: a term
 coefficients; the Fock normalization ``sqrt(prod n_m!)`` enters only in
 :meth:`PhotonicState.fock_amplitude`, norms and inner products.
 One pruning rule holds everywhere: a state never holds an amplitude with
-``|a| <= PRUNE_EPS``; the :class:`PhotonicState` constructor drops them.
+``|a| <= PRUNE_EPS``; every :class:`PhotonicState` is built through
+``_checked``, which drops them.
 
 Everything here is an immutable value; all operations are pure functions.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 ELL_MAX = 5  # largest |OAM| quantum number tracked by the simulator
@@ -94,6 +96,20 @@ def _occupation_factorial(occ: Occupation) -> float:
     return out
 
 
+def _checked(terms: dict[Occupation, complex]) -> dict[Occupation, complex]:
+    """``terms`` without the amplitudes at or below PRUNE_EPS; a non-finite
+    amplitude or nonzero terms of mixed photon numbers are a ValueError."""
+    total = sum(terms.values(), 0j)  # a finite sum proves every term finite
+    if not math.isfinite(total.real + total.imag):
+        for occ, a in terms.items():
+            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                raise ValueError(f"non-finite amplitude {a} on occupation {occ}")
+    sizes = {len(occ) for occ, a in terms.items() if a != 0}
+    if len(sizes) > 1:
+        raise ValueError(f"inhomogeneous photon numbers: {sorted(sizes)}")
+    return {occ: a for occ, a in terms.items() if abs(a) > PRUNE_EPS}
+
+
 class PhotonicState:
     """A finite superposition of same-photon-number Fock terms, built from an
     occupation -> amplitude mapping.  Equal occupations are summed; a non-finite
@@ -107,15 +123,16 @@ class PhotonicState:
         for occ, amp in terms.items():
             occ = _canonical(occ)
             merged[occ] = merged.get(occ, 0.0) + complex(amp)
-        total = sum(merged.values(), 0j)  # a finite sum proves every term finite
-        if not math.isfinite(total.real + total.imag):
-            for occ, a in merged.items():
-                if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                    raise ValueError(f"non-finite amplitude {a} on occupation {occ}")
-        sizes = {len(occ) for occ, a in merged.items() if a != 0}
-        if len(sizes) > 1:
-            raise ValueError(f"inhomogeneous photon numbers: {sorted(sizes)}")
-        self._terms = {occ: a for occ, a in merged.items() if abs(a) > PRUNE_EPS}
+        self._terms = _checked(merged)
+
+    @classmethod
+    def _trusted(cls, terms: dict[Occupation, complex]) -> "PhotonicState":
+        """A state from complex amplitudes on occupations the caller has proved
+        canonical and distinct: the constructor's checks and pruning without
+        its sort and merge."""
+        state = object.__new__(cls)
+        state._terms = _checked(terms)
+        return state
 
     @classmethod
     def vacuum(cls) -> "PhotonicState":
@@ -173,7 +190,7 @@ class PhotonicState:
         return self.scale(1.0 / n)
 
     def scale(self, factor: complex) -> "PhotonicState":
-        return PhotonicState({occ: amp * factor for occ, amp in self._terms.items()})
+        return PhotonicState._trusted({occ: amp * factor for occ, amp in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhotonicState):
@@ -194,19 +211,21 @@ class LinearMap:
     """A linear-optical element as a mode -> superposition-of-modes map.
 
     ``entries`` maps every supported input mode to its image, a tuple of
-    (output mode, coefficient) pairs.  ``unitary`` asserts column
-    orthonormality of the coefficient matrix restricted to the support.
-    A map declared unitary is checked once, at construction, in time linear in
-    its nonzeros: build a map once, apply it often.  The one map built without
-    the check is :func:`extend_identity`'s, whose added identity columns are
-    orthonormal to a checked map's by construction.
+    (output mode, coefficient) pairs; it is stored as a read-only mapping, so
+    one map can be shared, as the element factories' memoised maps are.
+    ``unitary`` asserts column orthonormality of the coefficient matrix
+    restricted to the support.  A map declared unitary is checked once, at
+    construction, in time linear in its nonzeros: build a map once, apply it
+    often.  The one map built without the check is :func:`extend_identity`'s,
+    whose added identity columns are orthonormal to a checked map's by
+    construction.
     """
 
     entries: Mapping[ModeLabel, tuple[tuple[ModeLabel, complex], ...]]
     unitary: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", dict(self.entries))
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if self.unitary and not self.check_unitary():
             raise ValueError("map declared unitary but fails column orthonormality")
 
@@ -216,7 +235,7 @@ class LinearMap:
     ) -> "LinearMap":
         """A map whose unitary flag the caller has proved; the check is not run."""
         m = object.__new__(cls)
-        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "entries", MappingProxyType(entries))
         object.__setattr__(m, "unitary", unitary)
         return m
 
@@ -332,7 +351,7 @@ def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:
         for modes, a in partial:
             key = _canonical(modes)
             out[key] = out.get(key, 0.0) + a
-    return PhotonicState(out)
+    return PhotonicState._trusted(out)
 
 
 def tensor(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
@@ -343,8 +362,8 @@ def tensor(s1: PhotonicState, s2: PhotonicState) -> PhotonicState:
     out: dict[Occupation, complex] = {}
     for occ1, a1 in s1._terms.items():
         for occ2, a2 in s2._terms.items():
-            out[_canonical(occ1 + occ2)] = a1 * a2
-    return PhotonicState(out)
+            out[_canonical(occ1 + occ2)] = a1 * a2  # distinct: the paths are disjoint
+    return PhotonicState._trusted(out)
 
 
 def postselect(
@@ -367,7 +386,7 @@ def postselect(
         return PhotonicState({}), 0.0
     # selected terms are singly occupied, so the Fock factor is 1
     prob = sum(abs(a) ** 2 for a in kept.values())
-    return PhotonicState(kept).normalize(), prob
+    return PhotonicState._trusted(kept).normalize(), prob
 
 
 def inner(s1: PhotonicState, s2: PhotonicState) -> complex:

@@ -100,6 +100,7 @@ HUGE_SINGLES = dict(RATES, singles=dict(RATES["singles"], A=1e300, B=1e300))
 STRING_PHASE_SORTER = {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {"swap_phase": "1"}}
 # OAM values that int() would truncate or that name no tracked mode
 FRACTIONAL_RELABEL = {"kind": "RELABEL", "paths": ["Z"], "params": {"mapping": {"0": [1.5, 1]}}}
+FRACTIONAL_RELABEL_KEY = {"kind": "RELABEL", "paths": ["Z"], "params": {"mapping": {"1.5": [2, 1]}}}
 FRACTIONAL_BASIS = {
     "kind": "LOCAL_UNITARY",
     "paths": ["B"],
@@ -169,6 +170,12 @@ FRACTIONAL_BASIS = {
         (["counts"], dict(RATES, singles=dict(RATES["singles"], C=True)), "singles[C] must be a number: True"),
         (["simulate"], {"pipeline": {"elements": [FRACTIONAL_RELABEL]}}, "must be integers: mapping[0]=1.5"),
         (["simulate"], {"pipeline": {"elements": [FRACTIONAL_BASIS]}}, "must be integers: basis[0]=0.5"),
+        # CMP ket keys that int() would truncate, that leave the tracked window or that repeat a value
+        (["simulate"], {"pipeline": {"cmp": {"0.5": 1}}}, "OAM values must be integers: cmp[0.5]=0.5"),
+        (["simulate"], {"pipeline": {"cmp": {"1.5": 1, "-1": 1}}}, "OAM values must be integers: cmp[1.5]"),
+        (["simulate"], {"pipeline": {"cmp": {"7": 1}}}, "tracked window |l| <= 5: cmp[7]"),
+        (["simulate"], {"pipeline": {"cmp": {"0": 1, "00": 1}}}, "OAM values must be distinct: cmp[00] repeats l=0"),
+        (["simulate"], {"pipeline": {"elements": [FRACTIONAL_RELABEL_KEY]}}, "must be integers: mapping key '1.5'"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

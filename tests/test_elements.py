@@ -217,3 +217,24 @@ def test_build_element_reads_integral_oam_values_as_ints():
     m = build_element(ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": np.eye(3), "basis": (0.0, 1.0, -1.0)}))
     modes = [mode for src, image in m.entries.items() for mode in (src, *(dst for dst, _ in image))]
     assert {type(mode.oam) for mode in modes} == {int}
+
+
+def test_built_in_element_maps_are_built_once_and_read_only():
+    tags = (0, 1, 2)
+    specs = [
+        ElementSpec("MIRROR", ("C",)),
+        ElementSpec("SPP_REFLECT", ("A",)),
+        ElementSpec("BEAM_SPLITTER", ("A", "B")),
+        ElementSpec("PARITY_SORTER", ("B", "C"), {"odd_swaps": False, "swap_phase": -1.0}),
+    ]
+    for spec in specs:
+        m = build_element(spec, list(tags))  # a list of tags is read as its tuple
+        assert build_element(ElementSpec.from_dict(spec.to_dict()), tags) is m
+        assert build_element(spec, (0, 1)) is not m
+        with pytest.raises(TypeError):
+            m.entries[ModeLabel(spec.paths[0], 0, 0)] = ()
+    shear = ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": np.eye(3), "basis": (0, 1, -1)})
+    relabeling = ElementSpec("RELABEL", ("B",), {"mapping": {2: (0, 1.0)}})
+    for spec in (shear, relabeling):
+        assert build_element(spec, tags) is not build_element(spec, tags)
+

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from ghz3d import experiment, tomography
-from ghz3d.elements import ElementSpec, Projector1, SorterConvention
+from ghz3d.elements import ELLS, ElementSpec, Projector1, SorterConvention, build_element
 from ghz3d.experiment import (
     CROSS_BLOCKED,
     DEFAULT_MIRRORS,
@@ -32,7 +32,7 @@ from ghz3d.experiment import (
     run_pipeline,
     spdc_state,
 )
-from ghz3d.states import LinearMap, ModeLabel, PhotonicState, apply, fidelity_pure, postselect
+from ghz3d.states import LinearMap, ModeLabel, PhotonicState, apply, fidelity_pure, fold, postselect
 
 from pipeline_oracle import expand
 
@@ -128,6 +128,10 @@ OUT_OF_WINDOW = tuple(ElementSpec(k, ("A",)) for k in ("SPP_REFLECT", "MIRROR", 
         ({"elements_override": [ElementSpec("MIRROR", ("A",)), SHEAR]}, "element 1 (LOCAL_UNITARY on B): matrix fails"),
         ({"elements_override": [ElementSpec("RELABEL", ("B",))]}, "element 0 (RELABEL on B): 'mapping'"),
         ({"elements_override": OUT_OF_WINDOW}, "pipeline.elements push a photon out of the tracked OAM window"),
+        # CMP ket keys that int() would truncate, that leave the tracked window or that repeat a value
+        ({"cmp_ket": {1.5: 1, -1: 1}}, "OAM values must be integers: cmp_ket[1.5]=1.5"),
+        ({"cmp_ket": {7: 1}}, "OAM values must lie in the tracked window |l| <= 5: cmp_ket[7]"),
+        ({"cmp_ket": {0: 1, "0": 1}}, "OAM values must be distinct: cmp_ket[0] repeats l=0"),
     ],
 )
 def test_config_rejects_a_multiport_it_cannot_build(kwargs, message):
@@ -188,6 +192,42 @@ def test_detected_applies_one_map_per_source_state(monkeypatch):
         maps.clear()
         assert experiment._detected(cfg, experiment._sources(cfg, tags)) == cfg.detected[tags]
         assert len(maps) == 1 and maps[0] is cfg.multiport_map
+
+
+# the 40 modes the sources fill: paths x l in {0, +-1, +-2} x each source's two tags
+SOURCE_MODES = {
+    ModeLabel(path, ell, tag)
+    for paths, tags in ((("A", "B"), (0, 1)), (("C", "D"), (0, 2)))
+    for path in paths
+    for ell in range(-2, 3)
+    for tag in tags
+}
+TRACKED_MODES = {ModeLabel(path, ell, tag) for path in "ABCD" for ell in ELLS for tag in (0, 1, 2)}
+
+
+def test_multiport_map_folds_the_source_modes_only():
+    assert len(SOURCE_MODES) == 40 and len(TRACKED_MODES) == 132
+    assert PipelineConfig().multiport_map.support == SOURCE_MODES
+    amps = SourceAmplitudes.from_ratios(1.7, 2.0)
+    for sorter in (SorterConvention(odd, phase) for odd in (True, False) for phase in (1.0, -1.0)):
+        for bits in range(2 ** len(MIRROR_STATIONS)):
+            mirrors = {s: 1 for b, s in enumerate(MIRROR_STATIONS) if bits >> b & 1}
+            cfg = PipelineConfig(source1=amps, source2=amps, include_c2=True, mirrors=mirrors, sorter=sorter)
+            assert cfg.multiport_map.support <= SOURCE_MODES
+            full = fold([m for _, m in cfg.multiport], TRACKED_MODES)
+            for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
+                source = experiment._sources(cfg, tags)
+                assert postselect(apply(full, source), cfg.detector_paths) == cfg.detected[tags]
+
+
+def test_configs_share_each_built_in_element_map():
+    first, second = PipelineConfig(), PipelineConfig(overlap=0.5)
+    assert [spec for spec, _ in first.multiport] == [spec for spec, _ in second.multiport]
+    for (spec, m1), (_, m2) in zip(first.multiport, second.multiport):
+        built = build_element(spec, (0, 1, 2))
+        assert build_element(spec, (0, 1, 2)) is built
+        # each config extends the one built map over its own modes
+        assert all(m1.entries[mode] is m2.entries[mode] is image for mode, image in built.entries.items())
 
 
 def test_classify_terms_runs_each_combo_once_per_tag_set(monkeypatch):

@@ -264,6 +264,24 @@ def test_amplitudes_at_or_below_prune_eps_are_dropped():
     assert {t.occupation for t in out.terms} == {(A0,), (ModeLabel("B", 0),)}
 
 
+def test_operation_outputs_keep_the_constructor_checks():
+    # apply, tensor, postselect and scale skip the constructor's sort and merge only
+    b0 = ModeLabel("B", 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        apply(LinearMap({A0: ((A0, 1e200),)}), PhotonicState({(A0,): 1e200}))
+    with pytest.raises(ValueError, match="non-finite"):
+        PhotonicState.single(A0).scale(math.inf)
+    # (A - iB)/sqrt(2) leaves the splitter wholly in A: the B amplitudes cancel
+    out = apply(beam_splitter("A", "B"), PhotonicState({(A0,): 1.0, (b0,): -1j}).normalize())
+    assert out.modes() == {A0}
+    tiny = PhotonicState({(A1,): 1e-8})
+    assert tensor(tiny, PhotonicState({(b0,): 1e-7})).is_zero
+    assert tensor(tiny, PhotonicState({(b0,): 1e-5})).num_terms == 1
+    assert PhotonicState({(A0,): 1.0, (A1,): 1e-3}).scale(1e-12).modes() == {A0}
+    selected, p = postselect(PhotonicState({(A0, b0): 1.0, (A1, A1): 1.0}), ("A", "B"))
+    assert selected == PhotonicState({(A0, b0): 1.0}) and p == 1.0
+
+
 def test_tiny_term_with_another_photon_number_still_raises():
     with pytest.raises(ValueError, match="inhomogeneous"):
         PhotonicState({(A0,): 1.0, (A0, B1): PRUNE_EPS / 2})
@@ -273,6 +291,14 @@ def test_apply_raises_on_nan_coefficient():
     m = LinearMap({A0: ((A0, math.nan),)})
     with pytest.raises(ValueError, match="non-finite"):
         apply(m, PhotonicState.single(A0))
+
+
+def test_map_entries_are_read_only():
+    for m in (LinearMap({A0: ((A0, 1.0),)}), extend_identity(mirror("A"), {B1})):
+        with pytest.raises(TypeError):
+            m.entries[A1] = ((A1, 1.0),)
+        with pytest.raises(TypeError):
+            del m.entries[A0]
 
 
 # --- unitarity check ----------------------------------------------------------
@@ -451,6 +477,21 @@ def test_element_chain_preserves_norm(state, chain):
     except UnsupportedMode:  # the chain left the tracked OAM window
         reject()
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(states(repeated=True), elements(), st.sampled_from([0.5, 1j, -2.0]))
+def test_operation_outputs_are_canonical(state, m, factor):
+    # apply, tensor, postselect and scale build their output without the
+    # constructor's sort and merge: rebuilding it through the constructor changes nothing
+    try:
+        out = apply(m, state)
+    except UnsupportedMode:
+        reject()
+    paired = tensor(out, PhotonicState.single(ModeLabel("D", 1)))
+    for s in (out, paired, postselect(paired, "ABD")[0], out.scale(factor)):
+        assert all(occ == tuple(sorted(occ)) for occ in s._terms)
+        assert PhotonicState(s._terms) == s
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
