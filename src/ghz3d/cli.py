@@ -6,6 +6,10 @@ optional JSON config (defaults are built in), writes JSON/CSV artifacts into
 are serialized with 12 significant digits.  Exit codes: 0 success, 2 config
 or input validation failure, 1 internal error.
 
+Each subcommand and config reader imports the ghz3d modules (and numpy) it
+uses inside itself, so a command pays only for its own imports; keep this
+module's top to the standard library (``tests/test_cold_start.py``).
+
 File schemas are documented in docs/file-formats.md.
 """
 
@@ -14,24 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-import numpy as np
-
-from . import contradiction, counts as counts_mod, spectral, tomography
-from .elements import ElementSpec, SorterConvention, _oam_keys
-from .experiment import (
-    DEFAULT_MIRRORS,
-    PipelineConfig,
-    SourceAmplitudes,
-    classify_terms,
-    factorization_check,
-    logical_state_vector,
-    run_pipeline,
-)
-from .states import PhotonicState, UnsupportedMode
+if TYPE_CHECKING:
+    from .experiment import PipelineConfig, SourceAmplitudes
+    from .spectral import SpectralModel
+    from .states import PhotonicState
+    from .tomography import NoiseParams
 
 DEFAULT_SEED = 333  # documented fixed default; three levels, three photons
 
@@ -59,11 +55,11 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, numbers.Integral):  # numpy registers its integer scalars here
         return int(obj)
     if isinstance(obj, complex):
         return [_sig12(obj.real), _sig12(obj.imag)]
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):  # and its floating scalars here
         return _sig12(float(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -120,16 +116,29 @@ def _real(section: Mapping[str, Any], prefix: str, key: str, default: float) -> 
 
 
 def _source_from(name: str, cfg: Mapping[str, Any] | None) -> SourceAmplitudes:
+    """Source ``name``'s amplitudes, given either as ``c0``/``c1``/``c2`` or as
+    the ratios ``c0_over_c1``/``c1_over_c2``; a config mixing the two forms
+    is a ConfigError naming ``pipeline.<name>``."""
+    from .experiment import SourceAmplitudes
+
     if not cfg:
         return SourceAmplitudes.balanced()
+    ratios = [k for k in ("c0_over_c1", "c1_over_c2") if k in cfg]
+    amplitudes = [k for k in ("c0", "c1", "c2") if k in cfg]
+    if ratios and amplitudes:
+        raise ConfigError(f"pipeline.{name} mixes amplitudes {amplitudes} with ratios {ratios}")
+    prefix = name + "."
     if "c0_over_c1" in cfg:
         return SourceAmplitudes.from_ratios(
-            _real(cfg, name, "c0_over_c1", 0.0), _real(cfg, name, "c1_over_c2", math.inf)
+            _real(cfg, prefix, "c0_over_c1", 0.0), _real(cfg, prefix, "c1_over_c2", math.inf)
         )
-    return SourceAmplitudes(*(_real(cfg, name, key, 0.0) for key in ("c0", "c1", "c2")))
+    return SourceAmplitudes(*(_real(cfg, prefix, key, 0.0) for key in ("c0", "c1", "c2")))
 
 
 def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
+    from .elements import ElementSpec, SorterConvention, _oam_keys
+    from .experiment import DEFAULT_MIRRORS, PipelineConfig
+
     try:
         p = cfg.get("pipeline", {})
         sorter_cfg = p.get("sorter", {})
@@ -152,8 +161,8 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
         for station, count in mirrors.items():
             _number(f"mirrors[{station}]", count)
         return PipelineConfig(
-            source1=_source_from("source1.", p.get("source1")),
-            source2=_source_from("source2.", p.get("source2", p.get("source1"))),
+            source1=_source_from("source1", p.get("source1")),
+            source2=_source_from("source2", p.get("source2", p.get("source1"))),
             mirrors=mirrors,
             sorter=sorter,
             overlap=_real(p, "", "overlap", 1.0),
@@ -164,7 +173,9 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
         raise ConfigError(f"invalid pipeline config: {exc}") from exc
 
 
-def spectral_model_from(cfg: Mapping[str, Any]) -> spectral.SpectralModel:
+def spectral_model_from(cfg: Mapping[str, Any]) -> SpectralModel:
+    from . import spectral
+
     s = cfg.get("spectral", {})
     base = spectral.SpectralModel.reference_defaults()
     try:
@@ -179,7 +190,9 @@ def spectral_model_from(cfg: Mapping[str, Any]) -> spectral.SpectralModel:
         raise ConfigError(f"invalid spectral config: {exc}") from exc
 
 
-def noise_params_from(cfg: Mapping[str, Any]) -> tomography.NoiseParams:
+def noise_params_from(cfg: Mapping[str, Any]) -> NoiseParams:
+    from . import tomography
+
     n = cfg.get("noise", {})
     base = tomography.NoiseParams.table1()
     try:
@@ -197,6 +210,10 @@ def noise_params_from(cfg: Mapping[str, Any]) -> tomography.NoiseParams:
 
 
 def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
+    from . import tomography
+    from .experiment import classify_terms, factorization_check, logical_state_vector, run_pipeline
+    from .states import UnsupportedMode
+
     pipeline = pipeline_config_from(cfg)
     try:
         result = run_pipeline(pipeline)
@@ -241,6 +258,10 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> int:
+    import numpy as np
+
+    from . import spectral
+
     model = spectral_model_from(cfg)
     try:
         dip_cfg = cfg.get("spectral", {}).get("dip", {})
@@ -273,6 +294,8 @@ def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> i
 
 
 def cmd_witness(cfg: dict, out: Path, seed: int, events: int) -> int:
+    from . import tomography
+
     if events <= 0:
         raise ConfigError("--events must be positive")
     # the resamples take seed + 1, and both seeds key a 64-bit Philox
@@ -310,6 +333,8 @@ def cmd_witness(cfg: dict, out: Path, seed: int, events: int) -> int:
 
 
 def cmd_mermin(cfg: dict, out: Path) -> int:
+    from . import contradiction, tomography
+
     noise = noise_params_from(cfg)
     ops = contradiction.build_operators()
     operator = contradiction.mermin_operator(ops)
@@ -345,6 +370,8 @@ def _derived(inputs: str, compute: Callable[[], Any]) -> Any:
 
 
 def cmd_counts(cfg: dict, out: Path) -> int:
+    from . import counts as counts_mod
+
     try:
         rep_rate = float(_number("rep_rate_hz", cfg["rep_rate_hz"]))
         tau = float(_number("tau_int_s", cfg["tau_int_s"]))

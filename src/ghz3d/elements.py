@@ -345,12 +345,14 @@ def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> Line
         basis = tuple(_oam(f"basis[{i}]", ell) for i, ell in enumerate(p["basis"]))
         return local_unitary(spec.paths[0], np.asarray(p["matrix"], dtype=complex), basis, tags=tags)
     if spec.kind == "RELABEL":
-        mapping = {
-            _oam(f"mapping key {old!r}", old): (
+        mapping = {}
+        for old, (new, phase) in dict(p["mapping"]).items():
+            ell = _oam(f"mapping key {old!r}", old)
+            if ell in mapping:
+                raise ValueError(f"OAM values must be distinct: mapping key {old!r} repeats l={ell}")
+            mapping[ell] = (
                 _oam(f"mapping[{old}]", new),
                 complex(phase) if not isinstance(phase, (list, tuple)) else complex(*phase),
             )
-            for old, (new, phase) in dict(p["mapping"]).items()
-        }
         return relabel(spec.paths[0], mapping, tags=tags)
     raise ValueError(f"unknown element kind {spec.kind!r}")

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from ._checks import require_finite
 from ._kernels import p4_sums
@@ -126,6 +125,8 @@ class SpectralModel:
 @functools.cache
 def _hermite(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only Gauss-Hermite nodes x, weights w and exp(x^2) of one order."""
+    from numpy.polynomial.hermite import hermgauss  # here, so a dip curve does not load numpy.polynomial
+
     x, w = hermgauss(order)
     arrays = (x, w, np.exp(x**2))
     for a in arrays:

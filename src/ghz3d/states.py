@@ -336,7 +336,8 @@ def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:
     """Substitute every creation operator through the map and expand.
 
     Raises UnsupportedMode if the state occupies a mode missing from the
-    map support; identity on absent modes is never assumed.
+    map support; identity on absent modes is never assumed.  ``ghz3d.apply``
+    resolves lazily to this module's ``apply`` on each access.
     """
     out: dict[Occupation, complex] = {}
     for occ, amp in state._terms.items():

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +102,7 @@ STRING_PHASE_SORTER = {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {
 # OAM values that int() would truncate or that name no tracked mode
 FRACTIONAL_RELABEL = {"kind": "RELABEL", "paths": ["Z"], "params": {"mapping": {"0": [1.5, 1]}}}
 FRACTIONAL_RELABEL_KEY = {"kind": "RELABEL", "paths": ["Z"], "params": {"mapping": {"1.5": [2, 1]}}}
+REPEATED_RELABEL_KEY = {"kind": "RELABEL", "paths": ["Z"], "params": {"mapping": {"1": [2, 1], "01": [3, 1]}}}
 FRACTIONAL_BASIS = {
     "kind": "LOCAL_UNITARY",
     "paths": ["B"],
@@ -176,6 +178,11 @@ FRACTIONAL_BASIS = {
         (["simulate"], {"pipeline": {"cmp": {"7": 1}}}, "tracked window |l| <= 5: cmp[7]"),
         (["simulate"], {"pipeline": {"cmp": {"0": 1, "00": 1}}}, "OAM values must be distinct: cmp[00] repeats l=0"),
         (["simulate"], {"pipeline": {"elements": [FRACTIONAL_RELABEL_KEY]}}, "must be integers: mapping key '1.5'"),
+        # two RELABEL keys naming one OAM value
+        (["simulate"], {"pipeline": {"elements": [REPEATED_RELABEL_KEY]}}, "distinct: mapping key '01' repeats l=1"),
+        # a source given both as amplitudes and as ratios
+        (["simulate"], {"pipeline": {"source1": {"c0": 0.9, "c1": 0.1, "c0_over_c1": 1.0}}}, "pipeline.source1 mixes"),
+        (["simulate"], {"pipeline": {"source2": {"c0": 0.9, "c1": 0.1, "c1_over_c2": 2.0}}}, "pipeline.source2 mixes"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):
@@ -191,6 +198,34 @@ def test_dump_json_refuses_nonfinite_numbers(tmp_path):
         with pytest.raises(ValueError):
             dump_json(bad, tmp_path / "out.json")
     assert not any(tmp_path.iterdir())
+
+
+def test_dump_json_writes_numpy_scalars_as_python_numbers(tmp_path):
+    values = {
+        "i64": np.int64(-7),
+        "f32": np.float32(0.1),
+        "f64": np.float64(1 / 3),
+        "c128": np.complex128(1 / 3 - 2j),
+        "f": 2 / 3,
+        "i": 12345678901234567890,
+        "b": True,
+        "n": [np.int32(2), (np.float64(1e-300), False)],
+    }
+    dump_json(values, tmp_path / "out.json")
+    # the same text as the Python numbers written directly: ints stay ints, 12 significant digits
+    expected = {
+        "b": True,
+        "c128": [0.333333333333, -2.0],
+        "f": 0.666666666667,
+        "f32": 0.10000000149,
+        "f64": 0.333333333333,
+        "i": 12345678901234567890,
+        "i64": -7,
+        "n": [2, [1e-300, False]],
+    }
+    assert (tmp_path / "out.json").read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dump_json(np.bool_(True), tmp_path / "bool.json")
 
 
 def test_hom_curve(tmp_path):

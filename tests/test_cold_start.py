@@ -1,0 +1,82 @@
+"""Each ``ghz3d`` subcommand imports only the modules it runs.
+
+The test session has imported every module already, so each subcommand runs
+in a fresh interpreter that prints its ``sys.modules``; its artifacts are
+checked against the goldens of ``test_golden``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ghz3d
+
+from test_cli import RATES
+from test_golden import ARTIFACTS, GOLDEN, _sha256
+
+SRC = Path(ghz3d.__file__).parents[1]
+PIPELINE = {"ghz3d.states", "ghz3d.elements", "ghz3d.experiment"}
+
+#: the modules each subcommand must leave unloaded
+NOT_LOADED = {
+    "counts": {"numpy", *PIPELINE, "ghz3d.tomography", "ghz3d.spectral"},
+    "hom": {"ghz3d.states", "ghz3d.experiment", "ghz3d.tomography"},
+    "witness": PIPELINE,
+    "mermin": PIPELINE,
+    "simulate": set(),
+}
+
+RUN_CLI = "import json, sys; from ghz3d.cli import main; code = main(sys.argv[1:]); print(json.dumps(sorted(sys.modules))); sys.exit(code)"
+
+
+def _fresh_modules(code: str, *args: str) -> set[str]:
+    """The ``numpy`` and ``ghz3d`` modules loaded after ``code`` ran in a new
+    interpreter; ``code`` prints ``sorted(sys.modules)`` as its last line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return {m for m in loaded if m == "numpy" or m == "ghz3d" or m.startswith("ghz3d.")}
+
+
+def test_import_ghz3d_loads_no_submodule():
+    assert _fresh_modules("import json, sys, ghz3d; print(json.dumps(sorted(sys.modules)))") == {"ghz3d"}
+
+
+def test_reexports_resolve_on_every_access(monkeypatch):
+    # a tracer that rebinds states.apply, and puts it back, is seen through ghz3d.apply
+    from ghz3d import states
+
+    assert all(hasattr(ghz3d, name) for name in ghz3d.__all__)
+    original = states.apply
+    monkeypatch.setattr(states, "apply", lambda m, state: state)
+    assert ghz3d.apply is states.apply is not original
+    monkeypatch.undo()
+    assert ghz3d.apply is states.apply is original
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_subcommand_imports_only_what_it_runs(command, tmp_path):
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)]
+    if command == "counts":
+        rates = tmp_path / "rates.json"
+        rates.write_text(json.dumps(RATES))
+        args += ["--config", str(rates)]
+    loaded = _fresh_modules(RUN_CLI, *args)
+    assert "ghz3d.cli" in loaded
+    assert not loaded & NOT_LOADED[command]
+    if command == "simulate":
+        golden = dict(zip(("state.json", "report.json"), GOLDEN["default"]))
+    else:
+        golden = ARTIFACTS[command]
+    assert {name: _sha256(out / name) for name in golden} == golden
