@@ -128,7 +128,9 @@ def _source_from(name: str, cfg: Mapping[str, Any] | None) -> SourceAmplitudes:
     if ratios and amplitudes:
         raise ConfigError(f"pipeline.{name} mixes amplitudes {amplitudes} with ratios {ratios}")
     prefix = name + "."
-    if "c0_over_c1" in cfg:
+    if ratios:
+        if "c0_over_c1" not in cfg:
+            raise ConfigError(f"pipeline.{name}.c0_over_c1 is missing: c1_over_c2 alone gives no amplitudes")
         return SourceAmplitudes.from_ratios(
             _real(cfg, prefix, "c0_over_c1", 0.0), _real(cfg, prefix, "c1_over_c2", math.inf)
         )

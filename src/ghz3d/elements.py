@@ -1,9 +1,9 @@
 """Factories for the linear-optical elements of the multi-port.
 
-Every factory returns a :class:`~ghz3d.states.LinearMap` over an explicit
-mode space: the caller chooses which paths and tags the map supports
-(identity on absent modes is never implied).  Every map covers the tracked
-OAM window ``ELLS`` (|l| <= ELL_MAX); the default tag is 0.
+Every factory returns a :class:`~ghz3d.states.LinearMap` on the paths and
+tags the caller chooses: it passes other paths unchanged and never implies
+identity on its own, where support and image cover the OAM window ``ELLS``
+(|l| <= ELL_MAX) but the reflection + SPP's l = -5, -4.  The default tag is 0.
 
 Conventions declared once, here:
 
@@ -169,7 +169,7 @@ def relabel(
     mapping: Mapping[int, tuple[int, complex]],
     tags: Sequence[int] = DEFAULT_TAGS,
 ) -> LinearMap:
-    """Permutation-with-phases of OAM values on one path (a mode relabeling)."""
+    """Phased permutation of OAM values on one path; identity on window values neither moved nor hit."""
     images = [v for v, _ in mapping.values()]
     if len(set(images)) != len(images):
         raise ValueError("relabeling must be injective")
@@ -177,6 +177,8 @@ def relabel(
     for t in tags:
         for old, (new, phase) in mapping.items():
             entries[ModeLabel(path, old, t)] = ((ModeLabel(path, new, t), phase),)
+        for ell in sorted(set(ELLS) - set(mapping) - set(images)):
+            entries[ModeLabel(path, ell, t)] = ((ModeLabel(path, ell, t), 1.0),)
     return LinearMap(entries, unitary=True)
 
 

@@ -40,7 +40,6 @@ import numpy as np
 
 from ._checks import require_finite
 from .elements import (
-    ELLS,
     ElementSpec,
     Projector1,
     SorterConvention,
@@ -55,7 +54,6 @@ from .states import (
     PhotonicState,
     UnsupportedMode,
     apply,
-    extend_identity,
     fidelity_pure,
     fold,
     postselect,
@@ -277,22 +275,19 @@ def pipeline_elements(cfg: PipelineConfig) -> tuple[ElementSpec, ...]:
 def _compile_multiport(
     cfg: PipelineConfig,
 ) -> tuple[tuple[tuple[ElementSpec, LinearMap], ...], LinearMap]:
-    """Each element of ``pipeline_elements(cfg)`` with its map over the tags of
-    both runs, identity-extended over all tracked modes of the paths in use,
-    and the chain folded into one map over the source modes, the only modes
-    a state applied to it occupies.  A source mode whose photon the chain
-    pushes out of the OAM window is left out of the folded map's support, so
-    occupying it raises UnsupportedMode.  An element that cannot be built is
-    a ValueError naming it.
+    """Each element of ``pipeline_elements(cfg)`` with its factory map
+    over the tags of both runs, acting on the element's paths only, and the
+    chain folded into one map over the source modes, the only modes a state
+    applied to it occupies.  A source mode whose photon the chain pushes out
+    of the OAM window is left out of the folded map's support, so occupying
+    it raises UnsupportedMode.  An element that cannot be built is a
+    ValueError naming it.
     """
-    specs = pipeline_elements(cfg)
-    paths = set(cfg.detector_paths).union(*(spec.paths for spec in specs))
     tags = tuple(sorted({*EQUAL_TAGS, *DISTINCT_TAGS}))
-    all_modes = {ModeLabel(p, ell, t) for p in paths for ell in ELLS for t in tags}
     chain = []
-    for i, spec in enumerate(specs):
+    for i, spec in enumerate(pipeline_elements(cfg)):
         try:
-            chain.append((spec, extend_identity(build_element(spec, tags=tags), all_modes)))
+            chain.append((spec, build_element(spec, tags=tags)))
         except (KeyError, TypeError, ValueError) as exc:
             where = f"pipeline element {i} ({spec.kind} on {', '.join(spec.paths)})"
             raise ValueError(f"{where}: {exc}") from None
@@ -546,13 +541,11 @@ class TermClassification:
 
 
 def _sorter_parity_blocked(cfg: PipelineConfig, kinds: tuple[str, str]) -> bool:
-    """True when the sorter alone already precludes one photon per path."""
+    """True when the first sorter alone (mirrors keep l's parity) already precludes one photon per path."""
     state = _sources(cfg, EQUAL_TAGS, kinds)
-    for spec, m in cfg.multiport:
-        if spec.kind in ("MIRROR", "PARITY_SORTER"):
-            state = apply(m, state)
-        if spec.kind == "PARITY_SORTER":
-            break
+    sorter = next((m for spec, m in cfg.multiport if spec.kind == "PARITY_SORTER"), None)
+    if sorter is not None:
+        state = apply(sorter, state)
     detector = sorted(cfg.detector_paths)
     return all(sorted(m.path for m in t.occupation) != detector for t in state.terms)
 

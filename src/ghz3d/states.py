@@ -19,7 +19,7 @@ Everything here is an immutable value; all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -214,30 +214,23 @@ class LinearMap:
     (output mode, coefficient) pairs; it is stored as a read-only mapping, so
     one map can be shared, as the element factories' memoised maps are.
     ``unitary`` asserts column orthonormality of the coefficient matrix
-    restricted to the support.  A map declared unitary is checked once, at
-    construction, in time linear in its nonzeros: build a map once, apply it
-    often.  The one map built without the check is :func:`extend_identity`'s,
-    whose added identity columns are orthonormal to a checked map's by
-    construction.
+    restricted to the support.  Every map declared unitary is checked once,
+    at construction, in time linear in its nonzeros: build a map once, apply
+    it often.  ``paths``, set at construction, are the paths the map acts on:
+    those of its support and image.  The map is the identity on every other
+    path, so no element map is extended over the paths it does not touch.
     """
 
     entries: Mapping[ModeLabel, tuple[tuple[ModeLabel, complex], ...]]
     unitary: bool = False
+    paths: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        images = (dst for image in self.entries.values() for dst, _ in image)
+        object.__setattr__(self, "paths", frozenset(m[0] for m in (*self.entries, *images)))
         if self.unitary and not self.check_unitary():
             raise ValueError("map declared unitary but fails column orthonormality")
-
-    @classmethod
-    def _trusted(
-        cls, entries: dict[ModeLabel, tuple[tuple[ModeLabel, complex], ...]], unitary: bool
-    ) -> "LinearMap":
-        """A map whose unitary flag the caller has proved; the check is not run."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", MappingProxyType(entries))
-        object.__setattr__(m, "unitary", unitary)
-        return m
 
     @property
     def support(self) -> set[ModeLabel]:
@@ -247,7 +240,9 @@ class LinearMap:
         try:
             return self.entries[mode]
         except KeyError:
-            raise UnsupportedMode(f"mode {mode} not in map support") from None
+            if mode[0] in self.paths:
+                raise UnsupportedMode(f"mode {mode} not in map support") from None
+            return ((mode, 1.0),)
 
     def check_unitary(self, tol: float = 1e-12) -> bool:
         """Column orthonormality: M†M equals the identity to ``tol``.
@@ -275,14 +270,22 @@ def extend_identity(m: LinearMap, modes: Iterable[ModeLabel]) -> LinearMap:
     unitary flag).  Such modes stay unsupported and occupying them raises
     UnsupportedMode downstream, which keeps truncation errors loud.
     Each added column is a unit vector on a mode no other column hits, so a
-    unitary map stays column-orthonormal and is not checked again.
+    unitary map stays column-orthonormal.  The extension acts on the paths
+    of ``m`` and of ``modes``.
     """
     entries = dict(m.entries)
     image = {dst for img in m.entries.values() for dst, _ in img}
     for mode in modes:
         if mode not in entries and mode not in image:
             entries[mode] = ((mode, 1.0),)
-    return LinearMap._trusted(entries, m.unitary)
+    return _acting_on(LinearMap(entries, m.unitary), m.paths)
+
+
+def _acting_on(m: LinearMap, paths: Iterable[str]) -> LinearMap:
+    """``m``, just built, acting also on ``paths``: a mode there outside its
+    support raises UnsupportedMode instead of passing unchanged."""
+    object.__setattr__(m, "paths", m.paths.union(paths))
+    return m
 
 
 def _push(
@@ -290,7 +293,7 @@ def _push(
 ) -> tuple[tuple[ModeLabel, complex], ...]:
     """A superposition of modes through ``m``, in mode order, exact zeros dropped.
 
-    Raises UnsupportedMode if the superposition holds a mode outside the support.
+    Raises UnsupportedMode if the superposition holds a mode ``m`` does not take.
     """
     acc: dict[ModeLabel, complex] = {}
     for mid, c1 in image:
@@ -300,44 +303,45 @@ def _push(
 
 
 def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    """Map equal to applying ``inner`` first, then ``outer``.
-
-    Every output mode of ``inner`` must be supported by ``outer``.
-    The composition of two unitary-flagged maps is unitary-flagged.
-    """
+    """Map equal to applying ``inner`` first, then ``outer``, on the support of
+    ``inner``, acting on the paths of both; unitary-flagged when both are."""
     entries = {src: _push(image, outer) for src, image in inner.entries.items()}
-    return LinearMap(entries, unitary=outer.unitary and inner.unitary)
+    return _acting_on(LinearMap(entries, unitary=outer.unitary and inner.unitary), outer.paths | inner.paths)
 
 
 def fold(chain: Sequence[LinearMap], modes: Iterable[ModeLabel]) -> LinearMap:
     """One map equal to applying the maps of ``chain`` in turn, on ``modes``.
 
     Each mode's image is pushed through the chain from the identity, so an
-    empty chain gives the identity on ``modes``.  A mode whose image meets a
-    mode some later map does not support is left out of the support: applying
-    the fold to a state occupying it raises UnsupportedMode, even where
-    interference between the state's terms would have emptied that component
-    before it left.  The fold is unitary-flagged, and checked, when every map
-    of the chain is.
+    empty chain gives the identity on ``modes``; a map on none of the
+    image's paths would pass it unchanged, so it is skipped.  A mode whose
+    image meets a mode some later map does not take is left out of the
+    support: applying the fold, which acts on every path of the chain, to a
+    state occupying it raises UnsupportedMode, even where interference
+    between the state's terms would have emptied that component before it
+    left.  The fold is unitary-flagged, and checked, when every map is.
     """
     entries = {}
     for mode in modes:
-        image = ((mode, 1.0),)
+        image, occupied = ((mode, 1.0),), {mode[0]}
         try:
             for m in chain:
-                image = _push(image, m)
+                if not m.paths.isdisjoint(occupied):
+                    image = _push(image, m)
+                    occupied = {dst[0] for dst, _ in image}
         except UnsupportedMode:
             continue
         entries[mode] = image
-    return LinearMap(entries, unitary=all(m.unitary for m in chain))
+    return _acting_on(LinearMap(entries, all(m.unitary for m in chain)), (p for m in chain for p in m.paths))
 
 
 def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:
     """Substitute every creation operator through the map and expand.
 
-    Raises UnsupportedMode if the state occupies a mode missing from the
-    map support; identity on absent modes is never assumed.  ``ghz3d.apply``
-    resolves lazily to this module's ``apply`` on each access.
+    Identity is assumed on the paths the map does not act on, never on its
+    own paths: a state occupying a mode of the map's paths outside its
+    support raises UnsupportedMode.  ``ghz3d.apply`` resolves lazily to this
+    module's ``apply`` on each access.
     """
     out: dict[Occupation, complex] = {}
     for occ, amp in state._terms.items():

@@ -183,6 +183,8 @@ FRACTIONAL_BASIS = {
         # a source given both as amplitudes and as ratios
         (["simulate"], {"pipeline": {"source1": {"c0": 0.9, "c1": 0.1, "c0_over_c1": 1.0}}}, "pipeline.source1 mixes"),
         (["simulate"], {"pipeline": {"source2": {"c0": 0.9, "c1": 0.1, "c1_over_c2": 2.0}}}, "pipeline.source2 mixes"),
+        # a ratio form without c0_over_c1
+        (["simulate"], {"pipeline": {"source1": {"c1_over_c2": 2.0}}}, "pipeline.source1.c0_over_c1 is missing"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ghz3d.elements import (
+    ELLS,
     ElementSpec,
     NotUnitary,
     Projector1,
@@ -21,7 +22,7 @@ from ghz3d.elements import (
     relabel,
     spp_reflect,
 )
-from ghz3d.states import ModeLabel, PhotonicState, apply, compose
+from ghz3d.states import ModeLabel, PhotonicState, UnsupportedMode, apply, compose
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -238,3 +239,53 @@ def test_built_in_element_maps_are_built_once_and_read_only():
     for spec in (shear, relabeling):
         assert build_element(spec, tags) is not build_element(spec, tags)
 
+
+
+# --- element maps act on their own paths only ---------------------------------
+
+COVERAGE_SPECS = [
+    ElementSpec("MIRROR", ("C",)),
+    ElementSpec("SPP_REFLECT", ("A",)),
+    ElementSpec("BEAM_SPLITTER", ("A", "B")),
+    *(
+        ElementSpec("PARITY_SORTER", ("B", "C"), {"odd_swaps": odd, "swap_phase": phase})
+        for odd in (True, False)
+        for phase in (1.0, -1.0)
+    ),
+    ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": np.eye(3)[[1, 2, 0]], "basis": (0, 1, -1)}),
+    ElementSpec("RELABEL", ("Z",), {"mapping": {"1": [2, 1]}}),
+    ElementSpec("RELABEL", ("B",), {"mapping": {"2": [0, 1], "3": [1, 1], "-1": [2, 1]}}),
+    ElementSpec("RELABEL", ("B",), {"mapping": {"-5": [5, 1], "5": [-5, -1]}}),
+]
+
+
+@pytest.mark.parametrize("tags", [(0,), (1,), (0, 1, 2)])
+@pytest.mark.parametrize("spec", COVERAGE_SPECS, ids=lambda spec: spec.kind)
+def test_element_maps_cover_the_window_on_their_own_paths(spec, tags):
+    m = build_element(spec, tags)
+    assert m.paths == set(spec.paths)
+    covered = m.support | {dst for image in m.entries.values() for dst, _ in image}
+    window = {ModeLabel(p, ell, t) for p in spec.paths for ell in ELLS for t in tags}
+    # the one exception: the reflection + SPP's images of l = -5 and -4 are 7 and 6
+    gaps = {-5, -4} if spec.kind == "SPP_REFLECT" else set()
+    assert window - covered == {ModeLabel(p, ell, t) for p in spec.paths for ell in gaps for t in tags}
+
+
+def test_relabel_is_the_identity_off_its_keys_and_targets():
+    m = build_element(ElementSpec("RELABEL", ("Z",), {"mapping": {"1": [2, 1]}}))
+    z = {ell: PhotonicState.single(ModeLabel("Z", ell)) for ell in (0, 1, 2)}
+    assert apply(m, z[0]) == z[0]
+    assert apply(m, z[1]) == z[2]
+    with pytest.raises(UnsupportedMode):  # a target that is not a key
+        apply(m, z[2])
+    assert m.unitary and m.check_unitary()
+
+
+@pytest.mark.parametrize("ell", [-5, -4])
+def test_spp_reflect_rejects_the_values_whose_image_leaves_the_window(ell):
+    m = spp_reflect("A")
+    with pytest.raises(UnsupportedMode):
+        apply(m, PhotonicState.single(ModeLabel("A", ell)))
+    # a photon on another path still passes
+    other = PhotonicState.single(ModeLabel("B", ell))
+    assert apply(m, other) == other

@@ -5,12 +5,17 @@ Expected values come from the brute-force expansion oracle in
 pipeline_oracle.py, which shares no code with the package.
 """
 
+import collections
+import functools
+import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 
 import pytest
 
+import ghz3d.states
 from ghz3d import experiment, tomography
 from ghz3d.elements import ELLS, ElementSpec, Projector1, SorterConvention, build_element
 from ghz3d.experiment import (
@@ -205,29 +210,100 @@ SOURCE_MODES = {
 TRACKED_MODES = {ModeLabel(path, ell, tag) for path in "ABCD" for ell in ELLS for tag in (0, 1, 2)}
 
 
+@functools.cache
+def every_mirror_and_sorter_config():
+    """A config with c2 > 0 for each of the 256 mirror patterns x 4 sorter conventions."""
+    amps = SourceAmplitudes.from_ratios(1.7, 2.0)
+    return [
+        PipelineConfig(source1=amps, source2=amps, include_c2=True, mirrors=mirrors, sorter=sorter)
+        for sorter in (SorterConvention(odd, phase) for odd in (True, False) for phase in (1.0, -1.0))
+        for mirrors in (
+            {s: 1 for b, s in enumerate(MIRROR_STATIONS) if bits >> b & 1} for bits in range(2 ** len(MIRROR_STATIONS))
+        )
+    ]
+
+
 def test_multiport_map_folds_the_source_modes_only():
     assert len(SOURCE_MODES) == 40 and len(TRACKED_MODES) == 132
     assert PipelineConfig().multiport_map.support == SOURCE_MODES
-    amps = SourceAmplitudes.from_ratios(1.7, 2.0)
-    for sorter in (SorterConvention(odd, phase) for odd in (True, False) for phase in (1.0, -1.0)):
-        for bits in range(2 ** len(MIRROR_STATIONS)):
-            mirrors = {s: 1 for b, s in enumerate(MIRROR_STATIONS) if bits >> b & 1}
-            cfg = PipelineConfig(source1=amps, source2=amps, include_c2=True, mirrors=mirrors, sorter=sorter)
-            assert cfg.multiport_map.support <= SOURCE_MODES
-            full = fold([m for _, m in cfg.multiport], TRACKED_MODES)
-            for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
-                source = experiment._sources(cfg, tags)
-                assert postselect(apply(full, source), cfg.detector_paths) == cfg.detected[tags]
+    for cfg in every_mirror_and_sorter_config():
+        assert cfg.multiport_map.support <= SOURCE_MODES
+        full = fold([m for _, m in cfg.multiport], TRACKED_MODES)
+        for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
+            source = experiment._sources(cfg, tags)
+            assert postselect(apply(full, source), cfg.detector_paths) == cfg.detected[tags]
+
+
+def sorter_blocked_in_turn(cfg, kinds):
+    """The sorter verdict from every mirror up to the first sorter applied in turn."""
+    state = experiment._sources(cfg, experiment.EQUAL_TAGS, kinds)
+    for spec, m in cfg.multiport:
+        if spec.kind in ("MIRROR", "PARITY_SORTER"):
+            state = apply(m, state)
+        if spec.kind == "PARITY_SORTER":
+            break
+    detector = sorted(cfg.detector_paths)
+    return all(sorted(m.path for m in t.occupation) != detector for t in state.terms)
+
+
+def test_sorter_verdict_ignores_the_mirrors_before_the_sorter():
+    # a mirror keeps the parity of l, so it never changes the sorter's routing
+    blocked = collections.Counter()
+    for cfg in every_mirror_and_sorter_config():
+        for kinds in itertools.product(experiment.TERM_KINDS, repeat=2):
+            verdict = experiment._sorter_parity_blocked(cfg, kinds)
+            assert verdict == sorter_blocked_in_turn(cfg, kinds)
+            blocked[verdict] += 1
+    assert blocked[True] and blocked[False]
 
 
 def test_configs_share_each_built_in_element_map():
     first, second = PipelineConfig(), PipelineConfig(overlap=0.5)
     assert [spec for spec, _ in first.multiport] == [spec for spec, _ in second.multiport]
     for (spec, m1), (_, m2) in zip(first.multiport, second.multiport):
-        built = build_element(spec, (0, 1, 2))
-        assert build_element(spec, (0, 1, 2)) is built
-        # each config extends the one built map over its own modes
-        assert all(m1.entries[mode] is m2.entries[mode] is image for mode, image in built.entries.items())
+        # each config holds the one built map itself, acting on the element's paths only
+        assert m1 is m2 is build_element(spec, (0, 1, 2))
+        assert m1.paths == set(spec.paths)
+
+
+SWAP_UNITARY = ElementSpec("LOCAL_UNITARY", ("D",), {"matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "basis": (0, 1, -1)})
+SWAP_RELABEL = ElementSpec("RELABEL", ("C",), {"mapping": {"1": [-1, 1], "-1": [1, 1]}})
+
+
+def test_config_build_extends_no_element_map(monkeypatch):
+    calls = []
+    extend = ghz3d.states.extend_identity
+
+    def counted(*args):
+        calls.append(args)
+        return extend(*args)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("ghz3d") and "extend_identity" in vars(module):
+            monkeypatch.setattr(module, "extend_identity", counted)
+    amps = SourceAmplitudes.from_ratios(1.7, 2.0)
+    for cfg in (
+        PipelineConfig(),
+        PipelineConfig(source1=amps, source2=amps, include_c2=True, mirrors=DETAILED_SETUP_MIRRORS, overlap=0.5),
+        PipelineConfig(elements_override=pipeline_elements(PipelineConfig()) + (SWAP_UNITARY, SWAP_RELABEL)),
+    ):
+        run_pipeline(cfg)
+        classify_terms(cfg)
+    assert calls == []
+    ghz3d.states.extend_identity(build_element(SWAP_RELABEL), ())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ell", [-5, -4])
+def test_a_photon_meeting_the_spp_at_l_minus_4_or_5_leaves_the_window(ell):
+    # the RELABEL sends the odd+ term's A photon to l; the SPP would send it
+    # on to 2 - l, outside |l| <= 5
+    spp = ElementSpec("SPP_REFLECT", ("A",))
+    to = ElementSpec("RELABEL", ("A",), {"mapping": {"1": [ell, 1], str(ell): [1, 1]}})
+    with pytest.raises(ValueError, match=re.escape("pipeline.elements push a photon out of the tracked OAM window")):
+        PipelineConfig(elements_override=(to, spp))
+    inside = ElementSpec("RELABEL", ("A",), {"mapping": {"1": [-3, 1], "-3": [1, 1]}})
+    assert PipelineConfig(elements_override=(inside, spp)).multiport_map.support == SOURCE_MODES
 
 
 def test_classify_terms_runs_each_combo_once_per_tag_set(monkeypatch):

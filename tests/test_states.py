@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+import ghz3d.states
 from ghz3d.states import (
     ELL_MAX,
     PRUNE_EPS,
@@ -95,11 +96,16 @@ def test_identity_map_is_identity():
     assert apply(m, s) == s
 
 
-def test_apply_missing_mode_raises():
-    s = PhotonicState.single(B1)
+def test_apply_passes_other_paths_and_raises_on_its_own():
     m = LinearMap({A0: ((A0, 1.0),)})
-    with pytest.raises(UnsupportedMode):
-        apply(m, s)
+    assert m.paths == {"A"}
+    # a mode on a path the map does not act on passes unchanged
+    s = PhotonicState({(A0, B1): 0.6, (A0, ModeLabel("B", -2, 1)): 0.8})
+    assert apply(m, s) == s
+    # an unsupported mode on the map's own path raises
+    for mode in (A1, ModeLabel("A", 0, 1)):
+        with pytest.raises(UnsupportedMode):
+            apply(m, PhotonicState({(mode, B1): 1.0}))
 
 
 def test_spp_reflect_examples():
@@ -213,6 +219,36 @@ def test_compose_matches_sequential_application():
     assert m.unitary
     s = PhotonicState({(ModeLabel("B", 1), ModeLabel("C", 0)): 1.0})
     assert apply(m, s) == apply(flip, apply(sorter, s))
+
+
+def test_fold_and_compose_act_on_every_path_of_their_maps():
+    # a B photon is on a path the chain acts on but outside the folded support
+    a_modes = {ModeLabel("A", ell) for ell in ELLS}
+    b1, c1 = PhotonicState.single(B1), PhotonicState.single(ModeLabel("C", 1))
+    composed = compose(mirror("B"), mirror("A"))
+    for m in (fold([mirror("B")], a_modes), fold([mirror("A"), mirror("B")], a_modes), composed):
+        assert m.paths == {"A", "B"} and {mode.path for mode in m.support} == {"A"}
+        with pytest.raises(UnsupportedMode):
+            apply(m, b1)
+        assert apply(m, c1) == c1  # C is no path of the chain
+    assert apply(composed, PhotonicState.single(A1)) == PhotonicState.single(ModeLabel("A", -1))
+
+
+def test_fold_pushes_a_mode_only_through_maps_on_its_paths(monkeypatch):
+    pushes = []
+    push = ghz3d.states._push
+
+    def counted(image, m):
+        pushes.append(m)
+        return push(image, m)
+
+    monkeypatch.setattr(ghz3d.states, "_push", counted)
+    sorter, bs, flip = parity_sorter("B", "C"), beam_splitter("A", "B"), mirror("C")
+    # A:0 meets the splitter only; C:1 crosses to B at the sorter, then meets
+    # the splitter and nothing on C; C:0 stays on C
+    folded = fold([sorter, bs, flip], [A0, ModeLabel("C", 1), ModeLabel("C", 0)])
+    assert pushes == [bs, sorter, bs, sorter, flip]
+    assert folded.entries[ModeLabel("C", 0)] == ((ModeLabel("C", 0), 1.0),)
 
 
 def test_compose_preserves_unitary_flag():
@@ -419,8 +455,9 @@ CHAIN_MODES = {ModeLabel(p, ell) for p in CHAIN_PATHS for ell in ELLS}
 
 
 @st.composite
-def elements(draw):
-    """One factory-built element on the chain paths, identity-extended over them."""
+def elements(draw, scoped=False):
+    """One factory-built element on the chain paths, identity-extended over
+    them unless ``scoped``."""
     kind = draw(st.sampled_from(["mirror", "spp", "bs", "sorter", "unitary"]))
     p, q = draw(st.permutations(CHAIN_PATHS))[:2]
     if kind == "mirror":
@@ -437,7 +474,7 @@ def elements(draw):
         u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         basis = draw(st.permutations(ELLS))[:3]
         m = local_unitary(p, u, basis)
-    return extend_identity(m, CHAIN_MODES)
+    return m if scoped else extend_identity(m, CHAIN_MODES)
 
 
 @st.composite
@@ -551,6 +588,19 @@ def test_fold_support_does_not_depend_on_the_state():
     assert a4 not in folded.support and b4 not in folded.support
     with pytest.raises(UnsupportedMode):
         apply(folded, state)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(elements(scoped=True), max_size=5))
+def test_fold_of_element_maps_equals_the_identity_extended_fold(chain):
+    scoped = fold(chain, CHAIN_MODES)
+    extended = fold([extend_identity(m, CHAIN_MODES) for m in chain], CHAIN_MODES)
+    assert all(extended.entries[mode] == image for mode, image in scoped.entries.items())
+    # the extension passes the reflection + SPP's l = -5 and -4 unchanged;
+    # the element map itself does not take them
+    assert scoped.support <= extended.support
+    if not any(m is spp_reflect(p) for m in chain for p in CHAIN_PATHS):
+        assert scoped.support == extended.support
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
