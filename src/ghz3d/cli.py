@@ -21,7 +21,7 @@ import math
 import numbers
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .experiment import PipelineConfig, SourceAmplitudes
@@ -102,6 +102,15 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _known(section: Any, prefix: str, keys: Iterable[str]) -> None:
+    """A ConfigError naming, as ``prefix + key``, each key of the JSON object
+    ``section`` outside ``keys``; a section that is no object is left to its
+    reader to reject."""
+    unknown = sorted(set(section).difference(keys)) if isinstance(section, Mapping) else []
+    if unknown:
+        raise ConfigError(f"unknown config key: {', '.join(prefix + str(k) for k in unknown)}")
+
+
 def _number(name: str, value: Any) -> int | float:
     """``value`` if it is a JSON number; a string, a bool or anything else is a
     ConfigError naming the field, so that no value is coerced into a number."""
@@ -121,6 +130,7 @@ def _source_from(name: str, cfg: Mapping[str, Any] | None) -> SourceAmplitudes:
     is a ConfigError naming ``pipeline.<name>``."""
     from .experiment import SourceAmplitudes
 
+    _known(cfg, f"pipeline.{name}.", ("c0", "c1", "c2", "c0_over_c1", "c1_over_c2"))
     if not cfg:
         return SourceAmplitudes.balanced()
     ratios = [k for k in ("c0_over_c1", "c1_over_c2") if k in cfg]
@@ -141,9 +151,12 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
     from .elements import ElementSpec, SorterConvention, _oam_keys
     from .experiment import DEFAULT_MIRRORS, PipelineConfig
 
+    p = cfg.get("pipeline", {})
+    pipeline_keys = ("source1", "source2", "mirrors", "sorter", "overlap", "include_c2", "cmp", "elements")
+    _known(p, "pipeline.", pipeline_keys)
     try:
-        p = cfg.get("pipeline", {})
         sorter_cfg = p.get("sorter", {})
+        _known(sorter_cfg, "pipeline.sorter.", ("odd_swaps", "swap_phase"))
         sorter = SorterConvention(
             odd_swaps=sorter_cfg.get("odd_swaps", True),
             swap_phase=complex(_real(sorter_cfg, "sorter.", "swap_phase", 1.0)),
@@ -158,6 +171,8 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
             kwargs = {"cmp_ket": _oam_keys("cmp", cmp_ket)}
         elements_raw = p.get("elements")
         if elements_raw is not None:
+            for i, e in enumerate(elements_raw):
+                _known(e, f"pipeline.elements[{i}].", ("kind", "paths", "params"))
             kwargs["elements_override"] = tuple(ElementSpec.from_dict(e) for e in elements_raw)
         mirrors = dict(p.get("mirrors", DEFAULT_MIRRORS))
         for station, count in mirrors.items():
@@ -179,6 +194,8 @@ def spectral_model_from(cfg: Mapping[str, Any]) -> SpectralModel:
     from . import spectral
 
     s = cfg.get("spectral", {})
+    spectral_keys = ("sigma_f_hz", "sigma_p_hz", "crystal_length_m", "delta_inv_gv_s_per_m", "lambda_c_m", "dip")
+    _known(s, "spectral.", spectral_keys)
     base = spectral.SpectralModel.reference_defaults()
     try:
         return spectral.SpectralModel(
@@ -196,6 +213,7 @@ def noise_params_from(cfg: Mapping[str, Any]) -> NoiseParams:
     from . import tomography
 
     n = cfg.get("noise", {})
+    _known(n, "noise.", ("p", "c", "weights"))
     base = tomography.NoiseParams.table1()
     try:
         weights = n.get("weights", base.weights)
@@ -267,6 +285,7 @@ def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> i
     model = spectral_model_from(cfg)
     try:
         dip_cfg = cfg.get("spectral", {}).get("dip", {})
+        _known(dip_cfg, "spectral.dip.", ("baseline_cps", "visibility", "width_m", "center_m"))
         vis = dip_cfg.get("visibility")
         if vis is None:
             vis = spectral.visibility(model.sigma_f, model.sigma_gvm)
@@ -374,6 +393,9 @@ def _derived(inputs: str, compute: Callable[[], Any]) -> Any:
 def cmd_counts(cfg: dict, out: Path) -> int:
     from . import counts as counts_mod
 
+    _known(cfg, "", ("rep_rate_hz", "tau_int_s", "eta", "pair_rate_hz", "singles", "pairs"))
+    _known(cfg.get("singles"), "singles.", counts_mod.DETECTORS)
+    _known(cfg.get("pairs"), "pairs.", counts_mod.PAIR_KEYS)
     try:
         rep_rate = float(_number("rep_rate_hz", cfg["rep_rate_hz"]))
         tau = float(_number("tau_int_s", cfg["tau_int_s"]))
@@ -472,6 +494,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        if args.command != "counts":  # one config file serves the other four commands
+            _known(cfg, "", ("pipeline", "spectral", "noise"))
         if args.command == "simulate":
             return cmd_simulate(cfg, out, args.seed)
         if args.command == "hom":

@@ -14,10 +14,17 @@ balanced GHZ state as an eigenstate (a concurrent set); the weighted sum
 reaches expectation 9 on the GHZ state, while an exact enumeration of all
 3^9 = 19683 local-realistic value assignments, carried out in the ring
 Z[omega] with integer arithmetic only, never exceeds modulus 6.
+
+The input-free constants are built once per process and shared read-only:
+the operator set of :func:`build_operators` (its concurrent-set check runs
+on that one build), the Mermin operator of each set, the product
+eigenbases of :func:`measurement_protocol` and the :func:`lr_enumerate`
+result.  Their arrays are read-only, so writing into one raises ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -103,8 +110,11 @@ class Assignment:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSet:
+    """The local observables, compared and hashed by identity (their arrays
+    have no single-valued equality)."""
+
     x: np.ndarray
     y: np.ndarray
     w: np.ndarray
@@ -143,14 +153,21 @@ CONCURRENT_TABLE: tuple[tuple[str, int], ...] = (
 )  # (product, eigenvalue as omega exponent)
 
 
+@functools.cache
 def build_operators() -> OperatorSet:
     """X, Y, W, Z on the principal fractional-power branch, checked against the
-    concurrent set (NotEigenstate if a product fails; branches 1, 2 never pass)."""
+    concurrent set (NotEigenstate if a product fails; branches 1, 2 never pass).
+
+    Built and checked once per process; the arrays are read-only.
+    """
     x = _shift()
     z = np.diag([OMEGA**t for t in range(3)])
     z13 = _z_fractional(1, 0)
     z23 = _z_fractional(2, 0)
-    ops = OperatorSet(x=x, y=z13 @ x @ z13.conj().T, w=z23 @ x @ z23.conj().T, z=z, branch=0)
+    y, w = z13 @ x @ z13.conj().T, z23 @ x @ z23.conj().T
+    for a in (x, y, w, z):
+        a.flags.writeable = False
+    ops = OperatorSet(x=x, y=y, w=w, z=z, branch=0)
     concurrent_set_check(ops, ideal_ghz()[0])
     return ops
 
@@ -181,13 +198,18 @@ def concurrent_set_check(ops: OperatorSet, ghz: np.ndarray) -> dict[str, complex
     return out
 
 
+@functools.lru_cache(maxsize=4)
 def mermin_operator(ops: OperatorSet) -> np.ndarray:
-    """The 27x27 generalized Mermin operator; every summand is off-diagonal."""
+    """The 27x27 generalized Mermin operator; every summand is off-diagonal.
+
+    Built once per operator set (the last few are kept) and read-only.
+    """
     o = _three_body(ops, "XXX").astype(complex)
     o += OMEGA ** (-1) * _three_body(ops, "YYY")
     o += OMEGA ** (-2) * _three_body(ops, "WWW")
     for names in ("XYW", "XWY", "YXW", "YWX", "WXY", "WYX"):
         o += OMEGA ** (-1) * _three_body(ops, names)
+    o.flags.writeable = False
     return o
 
 
@@ -215,8 +237,10 @@ class LREnumeration:
         return self.max_real_doubled / 2.0
 
 
+@functools.cache
 def lr_enumerate() -> LREnumeration:
-    """Scan all 3^9 assignments of the nine local observables exactly.
+    """Scan all 3^9 assignments of the nine local observables exactly, once
+    per process (the result is immutable).
 
     The sum lives in Z[omega]; the scan works on integer pairs (a, b) and
     the distinct-value set uses exact CyclotomicInt equality.  At most the
@@ -227,7 +251,8 @@ def lr_enumerate() -> LREnumeration:
     max_ns = int(norm_sq.max())
     max_re2 = int((2 * a - b).max())
     # nine omega powers put a and b in [-9, 9]: code each pair as one integer
-    codes = np.unique((a + 9) * 19 + (b + 9))
+    # in [0, 361); the occupied bins are the sorted distinct codes
+    codes = np.flatnonzero(np.bincount((a + 9) * 19 + (b + 9)))
     distinct = tuple(
         sorted(
             (CyclotomicInt(int(c) // 19 - 9, int(c) % 19 - 9) for c in codes),
@@ -282,18 +307,26 @@ def measurement_protocol(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (HILBERT, HILBERT):
         raise ValueError("rho must be 27x27")
+    u = _product_eigenbasis(tuple(settings), ops.branch)
+    probs = np.real(np.diag(u.conj().T @ rho @ u)).reshape(3, 3, 3)
+    return np.clip(probs, 0.0, None)
+
+
+@functools.lru_cache(maxsize=32)
+def _product_eigenbasis(settings: tuple[str, str, str], branch: int) -> np.ndarray:
+    """Read-only kron of the three parties' eigenbases, kept per setting choice."""
     # eigenvector matrix of X: columns |chi_k> with X|chi_k> = omega^k |chi_k>
     chi = np.array(
         [[OMEGA ** (-(k * t)) / math.sqrt(3) for k in range(3)] for t in range(3)]
     )
     basis = {
         "X": chi,
-        "Y": _z_fractional(1, ops.branch) @ chi,
-        "W": _z_fractional(2, ops.branch) @ chi,
+        "Y": _z_fractional(1, branch) @ chi,
+        "W": _z_fractional(2, branch) @ chi,
     }
     u = np.kron(np.kron(basis[settings[0]], basis[settings[1]]), basis[settings[2]])
-    probs = np.real(np.diag(u.conj().T @ rho @ u)).reshape(3, 3, 3)
-    return np.clip(probs, 0.0, None)
+    u.flags.writeable = False
+    return u
 
 
 def product_distribution(probs: np.ndarray) -> dict[int, float]:

@@ -303,9 +303,14 @@ def _push(
 
 
 def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    """Map equal to applying ``inner`` first, then ``outer``, on the support of
-    ``inner``, acting on the paths of both; unitary-flagged when both are."""
+    """Map equal to applying ``inner`` first, then ``outer``, acting on the
+    paths of both; unitary-flagged when both are.
+
+    Its support is that of ``inner`` plus the support modes of ``outer`` on
+    paths ``inner`` does not act on, where ``inner`` is the identity.
+    """
     entries = {src: _push(image, outer) for src, image in inner.entries.items()}
+    entries.update((src, image) for src, image in outer.entries.items() if src[0] not in inner.paths)
     return _acting_on(LinearMap(entries, unitary=outer.unitary and inner.unitary), outer.paths | inner.paths)
 
 

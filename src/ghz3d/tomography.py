@@ -18,16 +18,21 @@ projections supply the diagonal, 27 + 3 * 64 = 219 settings in total.
 
 The fidelity estimate is therefore a ratio of two linear functionals of
 the count vector n: F = (g.n) / (d.n), where d sums the computational
-counts and g weights the ``ttt`` counts and the off-diagonal settings.  g
-and d are built once per :func:`estimate_fidelity` call, so each Poisson
-resample costs one draw and two dot products.  Resample s draws from one
-Philox bit generator per call whose whole state is reset to key
-(seed, s) and counter zero before the draw; that yields the same stream as
-a freshly built ``Philox(key=(seed, s))``.
+counts and g weights the ``ttt`` counts and the off-diagonal settings, so
+each Poisson resample costs one draw and two dot products.  Resample s
+draws from one Philox bit generator per call whose whole state is reset
+to key (seed, s) and counter zero before the draw; that yields the same
+stream as a freshly built ``Philox(key=(seed, s))``.
+
+The input-free constants are built once per process and shared read-only:
+the witness plan, the 64 settings of each canonical off-diagonal element,
+each setting's descriptors and operator vector (a read-only array), and
+the g and d of the last few (sorted setting keys, weights) pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -187,23 +192,37 @@ AUX_IDX = -1  # sentinel index for the auxiliary mode
 
 @dataclass(frozen=True)
 class PlanSetting:
-    """One joint projective setting with its reconstruction weight."""
+    """One joint projective setting with its reconstruction weight.
+
+    Its descriptors and its read-only operator vector are computed on first
+    use and kept, so a setting shared through the memoised plan pays for
+    them once per process.
+    """
 
     kets: tuple[ProjKet, ProjKet, ProjKet]
     weight: complex = 0.0  # contribution to the element estimate
 
     def descriptors(self) -> tuple[str, str, str]:
-        return tuple(k.descriptor() for k in self.kets)  # type: ignore[return-value]
+        return self._descriptors
 
     def operator_vector(self) -> np.ndarray:
+        return self._vector
+
+    def expectation(self, rho: np.ndarray) -> float:
+        v = self._vector
+        return float(np.real(v.conj() @ rho @ v))
+
+    @functools.cached_property
+    def _descriptors(self) -> tuple[str, str, str]:
+        return tuple(k.descriptor() for k in self.kets)  # type: ignore[return-value]
+
+    @functools.cached_property
+    def _vector(self) -> np.ndarray:
         v = self.kets[0].vector()
         for k in self.kets[1:]:
             v = np.multiply.outer(v, k.vector()).ravel()  # kron of 1-D vectors
+        v.flags.writeable = False
         return v
-
-    def expectation(self, rho: np.ndarray) -> float:
-        v = self.operator_vector()
-        return float(np.real(v.conj() @ rho @ v))
 
 
 def offdiag_projectors(
@@ -215,8 +234,14 @@ def offdiag_projectors(
     <ijk| rho |lmn> = sum over settings of weight * Tr(rho P).  Slots with
     i_slot == l_slot use the auxiliary pair (value, q) whose four projectors
     each act as half the computational projector on the tracked space.
+    The settings of an element are built once per process and shared.
     """
     bra, ket = (tuple(int(x) for x in side) for side in element)
+    return _offdiag_projectors(bra, ket)
+
+
+@functools.lru_cache(maxsize=64)
+def _offdiag_projectors(bra: tuple[int, ...], ket: tuple[int, ...]) -> tuple[PlanSetting, ...]:
     if bra == ket:
         raise ValueError("use a diagonal setting for diagonal elements")
     per_slot: list[list[tuple[ProjKet, complex]]] = []
@@ -284,8 +309,10 @@ WITNESS_ELEMENTS = (
 )
 
 
+@functools.cache
 def build_witness_plan() -> tuple[PlanSetting, ...]:
-    """All 219 settings: 27 computational projections plus 3 x 64."""
+    """All 219 settings: 27 computational projections plus 3 x 64, built once
+    per process."""
     plan: list[PlanSetting] = []
     for i in range(3):
         for j in range(3):
@@ -348,10 +375,12 @@ def simulate_counts(
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _witness_functionals(
-    keys: Sequence[tuple[str, str, str]], weights: Sequence[float]
+    keys: tuple[tuple[str, str, str], ...], weights: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors g and d of :func:`estimate_fidelity` over ``keys``.
+    """The read-only vectors g and d of :func:`estimate_fidelity` over ``keys``,
+    kept for the last few (keys, weights).
 
     Raises KeyError when a setting of the witness plan is missing from ``keys``.
     """
@@ -370,6 +399,7 @@ def _witness_functionals(
         scale = 2.0 * w[bra[0]] * w[ket[0]]
         for setting in offdiag_projectors((bra, ket)):
             g[index[setting.descriptors()]] += scale * setting.weight.real
+    g.flags.writeable = d.flags.writeable = False
     return g, d
 
 
@@ -385,12 +415,13 @@ def estimate_fidelity(
     Diagonal elements come from the 27 computational projections normalized
     by their total; off-diagonals from the 64-setting reconstruction.  Both
     are linear in the counts, so with n the counts over the sorted setting
-    descriptors the estimate is F = (g.n) / (d.n) for two fixed real vectors
-    built once per call: d is 1 on the computational settings, and g holds
-    w_t^2 on the ``ttt`` settings plus 2 w_t1 w_t2 Re(weight) on each
-    off-diagonal setting.  The uncertainty is the standard deviation of F
-    over Poisson resamples of the observed counts (counter-keyed per-sample
-    generators, so any execution order gives identical results).  Optional
+    descriptors the estimate is F = (g.n) / (d.n) for two fixed real
+    vectors, kept for the last few (descriptors, weights): d is 1 on the
+    computational settings, and g holds w_t^2 on the ``ttt`` settings plus
+    2 w_t1 w_t2 Re(weight) on each off-diagonal setting.  The uncertainty
+    is the standard deviation of F over Poisson resamples of the observed
+    counts (counter-keyed per-sample generators, so any execution order
+    gives identical results).  Optional
     per-setting accidental counts are subtracted first, floored at zero;
     records with equal descriptors are summed.  Raises ValueError when the
     diagonal counts (of the data or of a resample) sum to zero, when
@@ -407,7 +438,7 @@ def estimate_fidelity(
             value = max(value - accidentals.get(rec.descriptors, 0.0), 0.0)
         observed[rec.descriptors] = observed.get(rec.descriptors, 0.0) + value
     keys = sorted(observed)
-    g, d = _witness_functionals(keys, weights)
+    g, d = _witness_functionals(tuple(keys), tuple(map(float, weights)))
 
     def estimate(n: np.ndarray) -> float:
         diag_total = d @ n

@@ -185,6 +185,19 @@ FRACTIONAL_BASIS = {
         (["simulate"], {"pipeline": {"source2": {"c0": 0.9, "c1": 0.1, "c1_over_c2": 2.0}}}, "pipeline.source2 mixes"),
         # a ratio form without c0_over_c1
         (["simulate"], {"pipeline": {"source1": {"c1_over_c2": 2.0}}}, "pipeline.source1.c0_over_c1 is missing"),
+        # unknown keys, which would otherwise be ignored
+        (["simulate"], {"pipeline": {"overlapp": 0.2}}, "unknown config key: pipeline.overlapp"),
+        (["simulate"], {"pipelin": {"overlap": 0.2}}, "unknown config key: pipelin"),
+        (["witness"], {"seed": 5}, "unknown config key: seed"),
+        (["mermin"], {"noise": {"P": 0.5}}, "unknown config key: noise.P"),
+        (["simulate"], {"pipeline": {"elements": [dict(NAN_SORTER, parms={})]}}, "unknown config key: pipeline.elements[0].parms"),
+        (["simulate"], {"pipeline": {"sorter": {"odd_swap": False}}}, "unknown config key: pipeline.sorter.odd_swap"),
+        (["simulate"], {"pipeline": {"source2": {"c0_over_c2": 1.0}}}, "unknown config key: pipeline.source2.c0_over_c2"),
+        (["hom"], {"spectral": {"sigma_f": 1e11}}, "unknown config key: spectral.sigma_f"),
+        (["hom"], {"spectral": {"dip": {"width": 1e-4}}}, "unknown config key: spectral.dip.width"),
+        (["counts"], dict(RATES, rep_rate=8e7), "unknown config key: rep_rate"),
+        (["counts"], dict(RATES, singles=dict(RATES["singles"], E=1.0)), "unknown config key: singles.E"),
+        (["counts"], dict(RATES, pairs={"BA" if k == "AB" else k: v for k, v in RATES["pairs"].items()}), "unknown config key: pairs.BA"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

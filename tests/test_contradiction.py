@@ -1,5 +1,6 @@
 """GHZ contradiction: operators, concurrent set, exact enumeration, noise."""
 
+import dataclasses
 import itertools
 import math
 
@@ -296,3 +297,44 @@ def test_assignment_accessor_layout():
         ct.Assignment((0, 1))
     with pytest.raises(ValueError):
         ct.Assignment((0, 1, 2, 3, 0, 0, 0, 0, 0))
+
+
+# --- constants built once per process -------------------------------------------
+
+
+def test_operator_set_is_built_and_checked_once_and_read_only(ops, monkeypatch):
+    assert ct.build_operators() is ops
+    checks = []
+    monkeypatch.setattr(ct, "concurrent_set_check", lambda o, ghz: checks.append(o))
+    fresh = ct.build_operators.__wrapped__()
+    assert len(checks) == 1  # a build runs the concurrent-set check
+    for name in ("X", "Y", "W", "Z"):
+        assert np.array_equal(ops.by_name(name), fresh.by_name(name))
+        with pytest.raises(ValueError, match="read-only"):
+            ops.by_name(name)[0, 0] = 0.0
+
+
+def test_mermin_operator_is_built_once_per_set_and_read_only(ops):
+    o = ct.mermin_operator(ops)
+    assert ct.mermin_operator(ct.build_operators()) is o
+    assert np.array_equal(ct.mermin_operator.__wrapped__(ops), o)
+    with pytest.raises(ValueError, match="read-only"):
+        o[0, 1] = 0.0
+    # a set is keyed by identity: a copy gets its own array
+    copy = dataclasses.replace(ops)
+    assert copy != ops and ct.mermin_operator(copy) is not o
+
+
+def test_enumeration_is_built_once(enumeration):
+    assert ct.lr_enumerate() is enumeration
+    assert ct.lr_enumerate.__wrapped__() == enumeration
+
+
+def test_protocol_eigenbases_are_built_once_and_read_only(ops, ghz_pair):
+    _, rho = ghz_pair
+    u = ct._product_eigenbasis(("X", "Y", "W"), ops.branch)
+    assert ct._product_eigenbasis(("X", "Y", "W"), ops.branch) is u
+    assert np.array_equal(ct._product_eigenbasis.__wrapped__(("X", "Y", "W"), ops.branch), u)
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.0
+    assert np.array_equal(ct.measurement_protocol("XYW", rho, ops), ct.measurement_protocol(["X", "Y", "W"], rho, ops))

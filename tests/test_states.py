@@ -225,13 +225,20 @@ def test_fold_and_compose_act_on_every_path_of_their_maps():
     # a B photon is on a path the chain acts on but outside the folded support
     a_modes = {ModeLabel("A", ell) for ell in ELLS}
     b1, c1 = PhotonicState.single(B1), PhotonicState.single(ModeLabel("C", 1))
-    composed = compose(mirror("B"), mirror("A"))
-    for m in (fold([mirror("B")], a_modes), fold([mirror("A"), mirror("B")], a_modes), composed):
+    for m in (fold([mirror("B")], a_modes), fold([mirror("A"), mirror("B")], a_modes)):
         assert m.paths == {"A", "B"} and {mode.path for mode in m.support} == {"A"}
         with pytest.raises(UnsupportedMode):
             apply(m, b1)
         assert apply(m, c1) == c1  # C is no path of the chain
+    # compose is the full composition: mirror("A") is the identity on B, so
+    # the composite keeps the B entries of mirror("B")
+    composed = compose(mirror("B"), mirror("A"))
+    assert composed.paths == {"A", "B"} and {mode.path for mode in composed.support} == {"A", "B"}
+    assert apply(composed, b1) == PhotonicState.single(ModeLabel("B", -1))
+    assert apply(composed, c1) == c1
     assert apply(composed, PhotonicState.single(A1)) == PhotonicState.single(ModeLabel("A", -1))
+    for state in (PhotonicState.single(A1), b1, c1):
+        assert apply(composed, state) == apply(mirror("B"), apply(mirror("A"), state))
 
 
 def test_fold_pushes_a_mode_only_through_maps_on_its_paths(monkeypatch):

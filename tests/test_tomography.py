@@ -452,3 +452,42 @@ def test_unsampled_estimate_is_the_fidelity(p, c, state_weights, weights):
     records = tm.simulate_counts(rho, WITNESS_PLAN, 1e4, sample=False)
     f_est, _ = tm.estimate_fidelity(records, weights, n_resamples=0)
     assert f_est == pytest.approx(tm.fidelity(rho, tm.ideal_ghz(weights)[0]), abs=1e-10)
+
+
+# --- constants built once per process -------------------------------------------
+
+
+def test_witness_plan_and_projectors_are_built_once_and_read_only():
+    plan = tm.build_witness_plan()
+    assert tm.build_witness_plan() is plan
+    assert tm.build_witness_plan.__wrapped__() == plan
+    element = ((0, 0, 0), (1, 1, 1))
+    settings = tm.offdiag_projectors(element)
+    # one canonical element, however its levels are spelled
+    assert tm.offdiag_projectors([[0, 0, 0], np.array([1, 1, 1])]) is settings
+    assert tm._offdiag_projectors.__wrapped__(*element) == settings
+    assert all(a is b for a, b in zip(plan[27:91], settings))  # the plan shares them
+    for setting in plan:
+        v = setting.operator_vector()
+        assert setting.operator_vector() is v and setting.descriptors() is setting.descriptors()
+        fresh = tm.PlanSetting(setting.kets, setting.weight)
+        assert np.array_equal(fresh.operator_vector(), v) and fresh.descriptors() == setting.descriptors()
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0
+
+
+def test_witness_functionals_are_kept_per_keys_and_weights():
+    keys = tuple(sorted(s.descriptors() for s in WITNESS_PLAN))
+    pair = tm._witness_functionals(keys, (1.0, 1.0, 1.0))
+    assert tm._witness_functionals(keys, (1.0, 1.0, 1.0)) is pair
+    assert tm._witness_functionals(keys, (1.0, 2.0, 1.0)) is not pair
+    for kept, fresh in zip(pair, tm._witness_functionals.__wrapped__(keys, (1.0, 1.0, 1.0))):
+        assert np.array_equal(kept, fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+    # weights of any sequence type give the same functionals
+    records = tm.simulate_counts(tm.noise_model(tm.NoiseParams.table1()), WITNESS_PLAN, 1652, seed=3)
+    weights = (0.685, 0.588, 0.491)
+    assert tm.estimate_fidelity(records, np.array(weights), n_resamples=5) == tm.estimate_fidelity(
+        records, list(weights), n_resamples=5
+    )
