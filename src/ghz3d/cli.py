@@ -21,7 +21,7 @@ import math
 import numbers
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .experiment import PipelineConfig, SourceAmplitudes
@@ -36,9 +36,9 @@ class ConfigError(ValueError):
     """Invalid or unreadable configuration input."""
 
 
-#: what reading a malformed config value raises: a wrong type, a bad value, a
-#: missing key, or an int too large for a float
+#: what building the dataclasses from read config values raises on a bad value
 _BAD_INPUT = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+_REQUIRED = object()  # the default of a config field that must be given
 
 
 # --- deterministic serialization -------------------------------------------
@@ -86,7 +86,7 @@ def state_to_dict(state: PhotonicState) -> dict:
 # --- config ingestion -------------------------------------------------------
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None) -> Any:
     if path is None:
         return {}
     try:
@@ -94,97 +94,108 @@ def load_config(path: str | None) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(raw)
+        return json.loads(raw)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
 
 
-def _known(section: Any, prefix: str, keys: Iterable[str]) -> None:
-    """A ConfigError naming, as ``prefix + key``, each key of the JSON object
-    ``section`` outside ``keys``; a section that is no object is left to its
-    reader to reject."""
-    unknown = sorted(set(section).difference(keys)) if isinstance(section, Mapping) else []
-    if unknown:
-        raise ConfigError(f"unknown config key: {', '.join(prefix + str(k) for k in unknown)}")
-
-
-def _number(name: str, value: Any) -> int | float:
-    """``value`` if it is a JSON number; a string, a bool or anything else is a
-    ConfigError naming the field, so that no value is coerced into a number."""
+def _number(name: str, value: Any) -> float:
+    """A JSON number as a float; anything else is a ConfigError naming the field."""
+    if value is _REQUIRED:
+        raise ConfigError(f"{name} is missing")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number: {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"numbers must fit a float: {name}={value}") from None
 
 
-def _real(section: Mapping[str, Any], prefix: str, key: str, default: float) -> float:
-    """``section[key]``, or ``default`` when absent, as a float; see :func:`_number`."""
-    return float(_number(prefix + key, section.get(key, default)))
+class _Section:
+    """The JSON object ``value`` at the dotted ``path`` ("" for a file's root),
+    with no key outside ``keys``.  Fields are named ``path.key``, entries of a
+    map or array field ``path.key[k]``; reads check JSON types, coerce nothing.
+    The methods go unannotated: each CLI run compiles cli.py, 3 % slower with them."""
+
+    def __init__(self, value, path, keys):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'the config root'} must be a JSON object: {value!r}")
+        self.value, self.path, self.name = value, path, (path + ".{}").format if path else str
+        unknown = sorted(set(value).difference(keys))
+        if unknown:
+            raise ConfigError(f"unknown config key: {', '.join(map(self.name, unknown))}")
+
+    def get(self, key, kind, default):
+        """The field ``key`` (``default`` when absent): a number if ``kind`` is float, else a ``kind``."""
+        name, value = self.name(key), self.value.get(key, default)
+        if kind is float or value is _REQUIRED:  # _number names a missing field too
+            return _number(name, value)
+        if key in self.value and not isinstance(value, kind):
+            raise ConfigError(f"{name} must be a JSON {'array' if kind is list else 'object'}: {value!r}")
+        return value
+
+    def section(self, key, keys, default):
+        return _Section(self.get(key, dict, default), self.name(key), keys)
+
+    def numbers(self, key, kind, default):
+        """The field ``key``, an object or array of numbers, by key or index."""
+        value = self.get(key, kind, default)
+        items = enumerate(value) if kind is list else value.items()
+        return {k: _number(f"{self.name(key)}[{k}]", v) for k, v in items}
+
+    def sections(self, key, keys):
+        """The field ``key``, an array of objects with no key outside ``keys``."""
+        return [_Section(v, f"{self.name(key)}[{i}]", keys) for i, v in enumerate(self.get(key, list, []))]
+
+    def table(self, key, keys):
+        """The field ``key``, an object holding a number for each of ``keys``."""
+        entries = self.section(key, keys, {}).value
+        return {k: _number(f"{self.name(key)}[{k}]", entries.get(k, _REQUIRED)) for k in keys}
 
 
-def _source_from(name: str, cfg: Mapping[str, Any] | None) -> SourceAmplitudes:
-    """Source ``name``'s amplitudes, given either as ``c0``/``c1``/``c2`` or as
-    the ratios ``c0_over_c1``/``c1_over_c2``; a config mixing the two forms
-    is a ConfigError naming ``pipeline.<name>``."""
+def _source_from(s: _Section) -> SourceAmplitudes:
+    """A source given as amplitudes, as ratios or not at all (balanced)."""
     from .experiment import SourceAmplitudes
 
-    _known(cfg, f"pipeline.{name}.", ("c0", "c1", "c2", "c0_over_c1", "c1_over_c2"))
-    if not cfg:
-        return SourceAmplitudes.balanced()
-    ratios = [k for k in ("c0_over_c1", "c1_over_c2") if k in cfg]
-    amplitudes = [k for k in ("c0", "c1", "c2") if k in cfg]
+    ratios = [k for k in ("c0_over_c1", "c1_over_c2") if k in s.value]
+    amplitudes = [k for k in ("c0", "c1", "c2") if k in s.value]
     if ratios and amplitudes:
-        raise ConfigError(f"pipeline.{name} mixes amplitudes {amplitudes} with ratios {ratios}")
-    prefix = name + "."
-    if ratios:
-        if "c0_over_c1" not in cfg:
-            raise ConfigError(f"pipeline.{name}.c0_over_c1 is missing: c1_over_c2 alone gives no amplitudes")
-        return SourceAmplitudes.from_ratios(
-            _real(cfg, prefix, "c0_over_c1", 0.0), _real(cfg, prefix, "c1_over_c2", math.inf)
-        )
-    return SourceAmplitudes(*(_real(cfg, prefix, key, 0.0) for key in ("c0", "c1", "c2")))
+        raise ConfigError(f"{s.path} mixes amplitudes {amplitudes} with ratios {ratios}")
+    if ratios:  # a wrong-typed c1_over_c2 is named before a missing c0_over_c1
+        c1_over_c2 = s.get("c1_over_c2", float, math.inf)
+        return SourceAmplitudes.from_ratios(s.get("c0_over_c1", float, _REQUIRED), c1_over_c2)
+    if amplitudes:
+        return SourceAmplitudes(*(s.get(k, float, 0.0) for k in ("c0", "c1", "c2")))
+    return SourceAmplitudes.balanced()
 
 
 def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
     from .elements import ElementSpec, SorterConvention, _oam_keys
-    from .experiment import DEFAULT_MIRRORS, PipelineConfig
+    from .experiment import CMP_KET, DEFAULT_MIRRORS, PipelineConfig
 
-    p = cfg.get("pipeline", {})
-    pipeline_keys = ("source1", "source2", "mirrors", "sorter", "overlap", "include_c2", "cmp", "elements")
-    _known(p, "pipeline.", pipeline_keys)
     try:
-        sorter_cfg = p.get("sorter", {})
-        _known(sorter_cfg, "pipeline.sorter.", ("odd_swaps", "swap_phase"))
-        sorter = SorterConvention(
-            odd_swaps=sorter_cfg.get("odd_swaps", True),
-            swap_phase=complex(_real(sorter_cfg, "sorter.", "swap_phase", 1.0)),
+        keys = ("source1", "source2", "mirrors", "sorter", "overlap", "include_c2", "cmp", "elements")
+        p = _Section(cfg.get("pipeline", {}), "pipeline", keys)
+        sorter = p.section("sorter", ("odd_swaps", "swap_phase"), {})
+        source_keys = ("c0", "c1", "c2", "c0_over_c1", "c1_over_c2")
+        source1 = p.section("source1", source_keys, {})
+        cmp = p.value.get("cmp", CMP_KET)  # null: no CMP projection
+        elements = None if "elements" not in p.value else tuple(
+            ElementSpec(e.get("kind", object, _REQUIRED), e.get("paths", list, []), e.get("params", dict, {}))
+            for e in p.sections("elements", ("kind", "paths", "params"))
         )
-        cmp_raw = p.get("cmp", "default")
-        if cmp_raw == "default":
-            kwargs: dict[str, Any] = {}
-        elif cmp_raw is None:
-            kwargs = {"cmp_ket": None}
-        else:
-            cmp_ket = {k: complex(_number(f"cmp[{k}]", v)) for k, v in cmp_raw.items()}
-            kwargs = {"cmp_ket": _oam_keys("cmp", cmp_ket)}
-        elements_raw = p.get("elements")
-        if elements_raw is not None:
-            for i, e in enumerate(elements_raw):
-                _known(e, f"pipeline.elements[{i}].", ("kind", "paths", "params"))
-            kwargs["elements_override"] = tuple(ElementSpec.from_dict(e) for e in elements_raw)
-        mirrors = dict(p.get("mirrors", DEFAULT_MIRRORS))
-        for station, count in mirrors.items():
-            _number(f"mirrors[{station}]", count)
         return PipelineConfig(
-            source1=_source_from("source1", p.get("source1")),
-            source2=_source_from("source2", p.get("source2", p.get("source1"))),
-            mirrors=mirrors,
-            sorter=sorter,
-            overlap=_real(p, "", "overlap", 1.0),
-            include_c2=p.get("include_c2", False),
-            **kwargs,
+            source1=_source_from(source1),
+            source2=_source_from(p.section("source2", source_keys, source1.value)),
+            mirrors=p.numbers("mirrors", dict, DEFAULT_MIRRORS),
+            sorter=SorterConvention(
+                odd_swaps=sorter.get("odd_swaps", object, True),
+                swap_phase=complex(sorter.get("swap_phase", float, 1.0)),
+            ),
+            overlap=p.get("overlap", float, 1.0),
+            include_c2=p.get("include_c2", object, False),
+            cmp_ket=None if cmp is None else _oam_keys("cmp", p.numbers("cmp", dict, CMP_KET)),
+            elements_override=elements,
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid pipeline config: {exc}") from exc
@@ -193,17 +204,16 @@ def pipeline_config_from(cfg: Mapping[str, Any]) -> PipelineConfig:
 def spectral_model_from(cfg: Mapping[str, Any]) -> SpectralModel:
     from . import spectral
 
-    s = cfg.get("spectral", {})
-    spectral_keys = ("sigma_f_hz", "sigma_p_hz", "crystal_length_m", "delta_inv_gv_s_per_m", "lambda_c_m", "dip")
-    _known(s, "spectral.", spectral_keys)
     base = spectral.SpectralModel.reference_defaults()
     try:
+        keys = ("sigma_f_hz", "sigma_p_hz", "crystal_length_m", "delta_inv_gv_s_per_m", "lambda_c_m", "dip")
+        s = _Section(cfg.get("spectral", {}), "spectral", keys)
         return spectral.SpectralModel(
-            sigma_f=_real(s, "", "sigma_f_hz", base.sigma_f),
-            sigma_p=_real(s, "", "sigma_p_hz", base.sigma_p),
-            crystal_length=_real(s, "", "crystal_length_m", base.crystal_length),
-            delta_inv_gv=_real(s, "", "delta_inv_gv_s_per_m", base.delta_inv_gv),
-            lambda_c=_real(s, "", "lambda_c_m", base.lambda_c),
+            sigma_f=s.get("sigma_f_hz", float, base.sigma_f),
+            sigma_p=s.get("sigma_p_hz", float, base.sigma_p),
+            crystal_length=s.get("crystal_length_m", float, base.crystal_length),
+            delta_inv_gv=s.get("delta_inv_gv_s_per_m", float, base.delta_inv_gv),
+            lambda_c=s.get("lambda_c_m", float, base.lambda_c),
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid spectral config: {exc}") from exc
@@ -212,15 +222,13 @@ def spectral_model_from(cfg: Mapping[str, Any]) -> SpectralModel:
 def noise_params_from(cfg: Mapping[str, Any]) -> NoiseParams:
     from . import tomography
 
-    n = cfg.get("noise", {})
-    _known(n, "noise.", ("p", "c", "weights"))
     base = tomography.NoiseParams.table1()
     try:
-        weights = n.get("weights", base.weights)
+        n = _Section(cfg.get("noise", {}), "noise", ("p", "c", "weights"))
         return tomography.NoiseParams(
-            p=_real(n, "", "p", base.p),
-            c=_real(n, "", "c", base.c),
-            weights=tuple(float(_number(f"weights[{i}]", w)) for i, w in enumerate(weights)),
+            p=n.get("p", float, base.p),
+            c=n.get("c", float, base.c),
+            weights=tuple(n.numbers("weights", list, base.weights).values()),
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid noise config: {exc}") from exc
@@ -283,17 +291,16 @@ def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> i
     from . import spectral
 
     model = spectral_model_from(cfg)
-    try:
-        dip_cfg = cfg.get("spectral", {}).get("dip", {})
-        _known(dip_cfg, "spectral.dip.", ("baseline_cps", "visibility", "width_m", "center_m"))
-        vis = dip_cfg.get("visibility")
-        if vis is None:
-            vis = spectral.visibility(model.sigma_f, model.sigma_gvm)
+    try:  # spectral_model_from has checked the spectral section
+        keys = ("baseline_cps", "visibility", "width_m", "center_m")
+        d = _Section(cfg.get("spectral", {}).get("dip", {}), "spectral.dip", keys)
         dip = spectral.DipModel(
-            baseline=_real(dip_cfg, "dip.", "baseline_cps", 1.0),
-            visibility=float(_number("dip.visibility", vis)),
-            width=_real(dip_cfg, "dip.", "width_m", 800e-6),
-            center=_real(dip_cfg, "dip.", "center_m", 0.0),
+            baseline=d.get("baseline_cps", float, 1.0),
+            visibility=spectral.visibility(model.sigma_f, model.sigma_gvm)
+            if d.value.get("visibility") is None  # null or absent: the closed form
+            else d.get("visibility", float, _REQUIRED),
+            width=d.get("width_m", float, 800e-6),
+            center=d.get("center_m", float, 0.0),
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid dip config: {exc}") from exc
@@ -393,31 +400,19 @@ def _derived(inputs: str, compute: Callable[[], Any]) -> Any:
 def cmd_counts(cfg: dict, out: Path) -> int:
     from . import counts as counts_mod
 
-    _known(cfg, "", ("rep_rate_hz", "tau_int_s", "eta", "pair_rate_hz", "singles", "pairs"))
-    _known(cfg.get("singles"), "singles.", counts_mod.DETECTORS)
-    _known(cfg.get("pairs"), "pairs.", counts_mod.PAIR_KEYS)
+    rates = _Section(cfg, "", ("rep_rate_hz", "tau_int_s", "eta", "pair_rate_hz", "singles", "pairs"))
     try:
-        rep_rate = float(_number("rep_rate_hz", cfg["rep_rate_hz"]))
-        tau = float(_number("tau_int_s", cfg["tau_int_s"]))
-        eta = float(_number("eta", cfg["eta"]))
-        singles = {k: float(_number(f"singles[{k}]", v)) for k, v in cfg["singles"].items()}
-        pairs = {k: float(_number(f"pairs[{k}]", v)) for k, v in cfg["pairs"].items()}
         model = counts_mod.RateModel(
-            rep_rate=rep_rate,
-            tau_int=tau,
-            eta=eta,
-            pair_rate=_real(cfg, "", "pair_rate_hz", 0.0),
-            singles=singles,
-            pairs=pairs,
+            rep_rate=rates.get("rep_rate_hz", float, _REQUIRED),
+            tau_int=rates.get("tau_int_s", float, _REQUIRED),
+            eta=rates.get("eta", float, _REQUIRED),
+            pair_rate=rates.get("pair_rate_hz", float, 0.0),
+            singles=rates.table("singles", counts_mod.DETECTORS),
+            pairs=rates.table("pairs", counts_mod.PAIR_KEYS),
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid rate file: {exc}") from exc
-    missing = [k for k in counts_mod.PAIR_KEYS if k not in pairs]
-    if missing:
-        raise ConfigError(f"rate file lacks detector pairs: {missing}")
-    missing_s = [k for k in counts_mod.DETECTORS if k not in singles]
-    if missing_s:
-        raise ConfigError(f"rate file lacks singles for detectors: {missing_s}")
+    rep_rate, tau, eta, singles, pairs = model.rep_rate, model.tau_int, model.eta, model.singles, model.pairs
 
     keys = counts_mod.PAIR_KEYS
     pulse_inputs, acc_inputs = "pairs, rep_rate_hz, tau_int_s", "singles, rep_rate_hz, tau_int_s"
@@ -495,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command != "counts":  # one config file serves the other four commands
-            _known(cfg, "", ("pipeline", "spectral", "noise"))
+            _Section(cfg, "", ("pipeline", "spectral", "noise"))
         if args.command == "simulate":
             return cmd_simulate(cfg, out, args.seed)
         if args.command == "hom":

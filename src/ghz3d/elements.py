@@ -190,14 +190,17 @@ class Projector1:
     ket: tuple[tuple[int, complex], ...]
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(sum(abs(c) ** 2 for _, c in self.ket))
-        if abs(norm - 1.0) > 1e-12:
+        norm = math.hypot(*(abs(c) for _, c in self.ket))  # scaled: no overflow
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails this too
             raise ValueError(f"projector ket norm {norm} != 1")
 
     @classmethod
     def of(cls, path: str, components: Mapping[int, complex]) -> "Projector1":
-        """The projector onto ``components`` normalized; a zero ket is a ValueError."""
-        norm = math.sqrt(sum(abs(c) ** 2 for c in components.values()))
+        """The projector onto ``components`` normalized; a zero, NaN or overflowing ket is a ValueError."""
+        try:
+            norm = math.sqrt(sum(abs(c) ** 2 for c in components.values()))
+        except OverflowError:
+            raise ValueError(f"projector ket on path {path} overflows: {dict(components)}") from None
         if norm == 0:
             raise ValueError(f"projector ket on path {path} is zero: {dict(components)}")
         ket = tuple(sorted((ell, c / norm) for ell, c in components.items()))

@@ -53,7 +53,7 @@ class ModeLabel(tuple):
     __slots__ = ()
 
     def __new__(cls, path: str, oam: int, tag: int = 0) -> "ModeLabel":
-        if abs(oam) > ELL_MAX:
+        if not abs(oam) <= ELL_MAX:  # NaN fails this too
             raise ValueError(f"|OAM|={abs(oam)} exceeds ELL_MAX={ELL_MAX}")
         return tuple.__new__(cls, (path, oam, tag))
 

@@ -198,6 +198,37 @@ FRACTIONAL_BASIS = {
         (["counts"], dict(RATES, rep_rate=8e7), "unknown config key: rep_rate"),
         (["counts"], dict(RATES, singles=dict(RATES["singles"], E=1.0)), "unknown config key: singles.E"),
         (["counts"], dict(RATES, pairs={"BA" if k == "AB" else k: v for k, v in RATES["pairs"].items()}), "unknown config key: pairs.BA"),
+        # values of the wrong JSON type, which must not run some other multi-port
+        (["simulate"], {"pipeline": {"mirrors": []}}, "pipeline.mirrors must be a JSON object: []"),
+        (["simulate"], {"pipeline": {"mirrors": [["d", 1]]}}, "pipeline.mirrors must be a JSON object: [['d', 1]]"),
+        (["simulate"], {"pipeline": {"elements": {}}}, "pipeline.elements must be a JSON array: {}"),
+        (["simulate"], {"pipeline": {"elements": None}}, "pipeline.elements must be a JSON array: None"),
+        (["simulate"], {"pipeline": {"source1": []}}, "pipeline.source1 must be a JSON object: []"),
+        (["simulate"], {"pipeline": {"source1": None}}, "pipeline.source1 must be a JSON object: None"),
+        (["simulate"], {"pipeline": {"cmp": "default"}}, "pipeline.cmp must be a JSON object: 'default'"),
+        (["simulate"], {"pipeline": {"elements": [{"kind": "MIRROR", "paths": "AB"}]}}, "elements[0].paths must be a JSON array: 'AB'"),
+        (["simulate"], {"pipeline": {"elements": [{"kind": "MIRROR", "paths": "CD"}]}}, "elements[0].paths must be a JSON array: 'CD'"),
+        (["simulate"], {"pipeline": {"elements": [{"kind": "MIRROR", "paths": ["C"], "params": []}]}}, "elements[0].params must be a JSON object"),
+        (["simulate"], {"pipeline": {"elements": [{"paths": ["C"]}]}}, "pipeline.elements[0].kind is missing"),
+        # null in place of a section
+        (["simulate"], {"pipeline": None}, "pipeline must be a JSON object: None"),
+        (["simulate"], {"pipeline": {"sorter": None}}, "pipeline.sorter must be a JSON object: None"),
+        (["hom"], {"spectral": {"dip": None}}, "spectral.dip must be a JSON object: None"),
+        (["witness"], {"noise": None}, "noise must be a JSON object: None"),
+        (["mermin"], {"noise": {"weights": None}}, "noise.weights must be a JSON array: None"),
+        (["counts"], dict(RATES, singles=None), "singles must be a JSON object: None"),
+        # integers too large for a float, named by their full path
+        (["witness"], {"noise": {"p": BIG}}, "invalid noise config: numbers must fit a float: noise.p=1000"),
+        (["hom"], {"spectral": {"sigma_f_hz": BIG}}, "invalid spectral config: numbers must fit a float: spectral.sigma_f_hz=1000"),
+        (["hom"], {"spectral": {"dip": {"width_m": BIG}}}, "invalid dip config: numbers must fit a float: spectral.dip.width_m=1000"),
+        (["simulate"], {"pipeline": {"overlap": BIG}}, "invalid pipeline config: numbers must fit a float: pipeline.overlap=1000"),
+        (["counts"], dict(RATES, eta=BIG), "invalid rate file: numbers must fit a float: eta=1000"),
+        # a missing rate-file field is named
+        (["counts"], {k: v for k, v in RATES.items() if k != "eta"}, "invalid rate file: eta is missing"),
+        (["counts"], dict(RATES, pairs={"AB": 1.0}), "invalid rate file: pairs[AC] is missing"),
+        (["counts"], {k: v for k, v in RATES.items() if k != "singles"}, "invalid rate file: singles[A] is missing"),
+        # a wrong-typed ratio is named before the missing c0_over_c1
+        (["simulate"], {"pipeline": {"source2": {"c1_over_c2": "2"}}}, "pipeline.source2.c1_over_c2 must be a number: '2'"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):
@@ -508,3 +539,115 @@ def test_fuzzed_config_exits_0_or_2(tmp_path, command):
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) in (0, 2)
 
     exits_0_or_2()
+
+
+# --- every field of every section the readers take -------------------------------
+
+NUMBER, OBJECT, ARRAY, OTHER = "number", "object", "array", "other"
+SOURCE_FIELDS = dict.fromkeys(("c0", "c1", "c2", "c0_over_c1", "c1_over_c2"), NUMBER)
+#: the JSON type of each field, by the path of its section ("" is the file's root)
+CONFIG_FIELDS = {
+    "": {"pipeline": OBJECT, "spectral": OBJECT, "noise": OBJECT},
+    "pipeline": {
+        "source1": OBJECT,
+        "source2": OBJECT,
+        "mirrors": OBJECT,
+        "sorter": OBJECT,
+        "overlap": NUMBER,
+        "include_c2": OTHER,
+        "cmp": OBJECT,
+        "elements": ARRAY,
+    },
+    "pipeline.sorter": {"odd_swaps": OTHER, "swap_phase": NUMBER},
+    "pipeline.source1": SOURCE_FIELDS,
+    "pipeline.source2": SOURCE_FIELDS,
+    "pipeline.elements[0]": {"kind": OTHER, "paths": ARRAY, "params": OBJECT},
+    "spectral": {
+        **dict.fromkeys(("sigma_f_hz", "sigma_p_hz", "crystal_length_m", "delta_inv_gv_s_per_m", "lambda_c_m"), NUMBER),
+        "dip": OBJECT,
+    },
+    "spectral.dip": dict.fromkeys(("baseline_cps", "visibility", "width_m", "center_m"), NUMBER),
+    "noise": {"p": NUMBER, "c": NUMBER, "weights": ARRAY},
+}
+RATE_FIELDS = {
+    "": {**dict.fromkeys(("rep_rate_hz", "tau_int_s", "eta", "pair_rate_hz"), NUMBER), "singles": OBJECT, "pairs": OBJECT},
+    "singles": dict.fromkeys(RATES["singles"], NUMBER),
+    "pairs": dict.fromkeys(RATES["pairs"], NUMBER),
+}
+# configs holding every section, each read by the command named
+FULL_CONFIGS = {
+    "simulate": {
+        "pipeline": {"sorter": {}, "source1": {}, "source2": {}, "elements": [{"kind": "MIRROR", "paths": ["A"]}]}
+    },
+    "hom": {"spectral": {"dip": {}}},
+    "witness": {"noise": {}},
+    "counts": RATES,
+}
+#: a value of the wrong JSON type for each type
+WRONG = {NUMBER: "0.5", OBJECT: [], ARRAY: {}}
+
+
+def _sections_read(monkeypatch, tmp_path, commands):
+    """{path: keys} of every section the reader checks while ``commands`` run their full configs."""
+    from ghz3d import cli
+
+    seen = {}
+    init = cli._Section.__init__
+
+    def recording(self, value, path, keys):
+        seen[path] = set(keys)
+        init(self, value, path, keys)
+
+    monkeypatch.setattr(cli._Section, "__init__", recording)
+    for command in commands:
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(FULL_CONFIGS[command]))
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0
+    monkeypatch.undo()
+    return seen
+
+
+def test_field_lists_match_the_readers(monkeypatch, tmp_path):
+    config_sections = _sections_read(monkeypatch, tmp_path, ("simulate", "hom", "witness"))
+    assert config_sections == {path: set(fields) for path, fields in CONFIG_FIELDS.items()}
+    rate_sections = _sections_read(monkeypatch, tmp_path, ("counts",))
+    assert rate_sections == {path: set(fields) for path, fields in RATE_FIELDS.items()}
+
+
+def _wrong_typed_cases():
+    """(command, config, name) with one field of a full config set to a value of the wrong JSON type."""
+    for fields, commands in ((CONFIG_FIELDS, None), (RATE_FIELDS, "counts")):
+        for path, types in fields.items():
+            for key, kind in types.items():
+                if kind not in WRONG:
+                    continue
+                top = (path or key).split(".")[0]
+                command = commands or {"pipeline": "simulate", "spectral": "hom", "noise": "witness"}[top]
+                config = json.loads(json.dumps(FULL_CONFIGS[command]))
+                section = config
+                for step in filter(None, path.replace("[0]", ".0").split(".")):
+                    section = section[int(step) if step.isdigit() else step]
+                section[key] = WRONG[kind]
+                # singles and pairs map detectors to counts: their entries are named like map entries
+                name = f"{path}[{key}]" if path in ("singles", "pairs") else ".".join(filter(None, (path, key)))
+                yield pytest.param(command, config, name, id=f"{command}-{name}")
+
+
+@pytest.mark.parametrize("command,config,name", _wrong_typed_cases())
+def test_wrong_typed_field_exits_2_naming_its_path(tmp_path, capsys, command, config, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"{name} must be a" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [("simulate", {"pipeline": {"cmp": None}}), ("hom", {"spectral": {"dip": {"visibility": None}}})],
+)
+def test_null_is_read_for_cmp_and_dip_visibility_only(tmp_path, command, config):
+    # null removes the CMP projection, and asks for the closed-form visibility
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 0

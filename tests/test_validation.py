@@ -5,13 +5,16 @@ constructor either builds an object whose numeric fields are all finite or
 raises ValueError.
 """
 
+import cmath
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghz3d.counts import DETECTORS, PAIR_KEYS, RateModel
+from ghz3d.elements import Projector1
 from ghz3d.spectral import DipModel, SpectralModel
+from ghz3d.states import ModeLabel
 from ghz3d.tomography import CountRecord, NoiseParams
 
 # unbounded floats, the special values, and values that every field
@@ -81,6 +84,18 @@ def test_count_record(counts, duration):
     build_or_reject(CountRecord, ("0", "0", "0"), counts, duration)
 
 
+@SETTINGS
+@given(st.dictionaries(st.integers(-2, 2), numbers, max_size=3))
+def test_projector(components):
+    # the ket a projector holds is finite, whether normalized by of() or given as is
+    for build in (lambda: Projector1.of("A", components), lambda: Projector1("A", tuple(components.items()))):
+        try:
+            proj = build()
+        except ValueError:
+            continue
+        assert all(cmath.isfinite(c) for _, c in proj.ket)
+
+
 @pytest.mark.parametrize(
     "build,field",
     [
@@ -89,6 +104,9 @@ def test_count_record(counts, duration):
         (lambda: DipModel(1.0, 0.5, 1.0, -math.inf), "center=-inf"),
         (lambda: RateModel(1.0, 1.0, 0.5, pairs={"AB": math.nan}), "pairs[AB]=nan"),
         (lambda: CountRecord(("0", "0", "0"), 1.0, math.inf), "duration=inf"),
+        (lambda: Projector1.of("A", {0: math.nan, 1: 1.0}), "projector ket norm nan"),
+        (lambda: Projector1.of("A", {0: math.inf}), "projector ket norm nan"),
+        (lambda: ModeLabel("A", math.nan), "=nan exceeds ELL_MAX"),
     ],
 )
 def test_error_names_the_field(build, field):
