@@ -212,8 +212,16 @@ def project(proj: Projector1, state: PhotonicState) -> tuple[PhotonicState, floa
 
     Terms whose projector path is not singly occupied are annihilated
     (the projector lives in the single-photon subspace of that path).
-    Returns the conditional state and the projection probability.
+    Returns the conditional state and the projection probability, taking
+    the norm once.
     """
+    projected = _projection(proj, state)
+    n = projected.norm()  # 0 only for the zero state: every amplitude exceeds PRUNE_EPS
+    return (projected.scale(1.0 / n), n**2) if n else (projected, 0.0)
+
+
+def _projection(proj: Projector1, state: PhotonicState) -> PhotonicState:
+    """|k><k| on the projector path applied to ``state``, not renormalized."""
     coeffs = dict(proj.ket)
     out: dict = {}
     # in term order: the last bits of the sums below depend on it
@@ -230,11 +238,7 @@ def project(proj: Projector1, state: PhotonicState) -> tuple[PhotonicState, floa
         for ell, c in proj.ket:
             key = tuple(sorted(rest + (ModeLabel(proj.path, ell, mode.tag),)))
             out[key] = out.get(key, 0.0) + amp * c
-    projected = PhotonicState._trusted(out)
-    if projected.is_zero:
-        return projected, 0.0
-    prob = projected.norm() ** 2
-    return projected.normalize(), prob
+    return PhotonicState._trusted(out)
 
 
 ELEMENT_KINDS = (

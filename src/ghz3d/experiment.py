@@ -44,6 +44,7 @@ from .elements import (
     Projector1,
     SorterConvention,
     _oam_keys,
+    _projection,
     build_element,
     project,
 )
@@ -53,10 +54,10 @@ from .states import (
     Occupation,
     PhotonicState,
     UnsupportedMode,
+    _detect,
     apply,
     fidelity_pure,
     fold,
-    postselect,
     tensor,
 )
 
@@ -309,19 +310,20 @@ def _source_modes(cfg: PipelineConfig) -> set[ModeLabel]:
 def _sources(
     cfg: PipelineConfig, tags: tuple[int, int], kinds: tuple[str, str] | None = None
 ) -> PhotonicState:
-    """Both sources at ``tags`` (one pair term each, if ``kinds``)."""
+    """Both sources at ``tags`` (one pair term each, with amplitude 1, if ``kinds``)."""
     if kinds is None:
         s1 = spdc_state(cfg.source1_paths, cfg.source1, tags[0], cfg.include_c2)
         s2 = spdc_state(cfg.source2_paths, cfg.source2, tags[1], cfg.include_c2)
-    else:
-        s1 = _single_term_source(kinds[0], cfg.source1_paths, tags[0])
-        s2 = _single_term_source(kinds[1], cfg.source2_paths, tags[1])
-    return tensor(s1, s2)
+        return tensor(s1, s2)
+    pair1 = _pair_term(kinds[0], cfg.source1_paths, tags[0])
+    return PhotonicState({pair1 + _pair_term(kinds[1], cfg.source2_paths, tags[1]): 1.0})
 
 
 def _detected(cfg: PipelineConfig, state: PhotonicState) -> tuple[PhotonicState, float]:
-    """A source state through the multi-port, postselected on one photon per detector."""
-    return postselect(apply(cfg.multiport_map, state), cfg.detector_paths)
+    """A source state through the multi-port and postselected on one photon
+    per detector, in one pass that builds only the selected terms and
+    normalizes them once."""
+    return _detect(cfg.multiport_map, state, cfg.detector_paths)
 
 
 @dataclass(frozen=True)
@@ -518,10 +520,6 @@ PARITY_BLOCKED = "PARITY_BLOCKED"
 CROSS_BLOCKED = "CROSS_BLOCKED"
 
 
-def _single_term_source(kind: str, paths: Sequence[str], tag: int) -> PhotonicState:
-    return PhotonicState({_pair_term(kind, paths, tag): 1.0})
-
-
 @dataclass(frozen=True)
 class ComboReport:
     verdict: str
@@ -588,15 +586,17 @@ def _projected_fourfold(
     detected: tuple[PhotonicState, float],
 ) -> float:
     """Four-fold probability of a detected state after the given projectors,
-    in detector order."""
+    in detector order; the state after the last one is not normalized."""
     state, p = detected
-    for path in cfg.detector_paths:
+    projectors = [projection[path] for path in cfg.detector_paths if path in projection]
+    for proj in projectors[:-1]:
         if p == 0.0:
             return 0.0
-        if path in projection:
-            state, p_proj = project(projection[path], state)
-            p *= p_proj
-    return p
+        state, p_proj = project(proj, state)
+        p *= p_proj
+    if p == 0.0 or not projectors:
+        return p
+    return p * _projection(projectors[-1], state).norm() ** 2
 
 
 def hom_scan(

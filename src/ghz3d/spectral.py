@@ -92,6 +92,16 @@ class SpectralModel:
         for name, value in vars(self).items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+        # the widths the model squares and divides by, each with the inputs it derives from
+        gvm = ("crystal_length", "delta_inv_gv")
+        for width, inputs in (("sigma_f", ("sigma_f",)), ("sigma_gvm", gvm), ("sigma_s", ("sigma_p", *gvm))):
+            try:
+                in_range = 0.0 < getattr(self, width) ** 2 < math.inf
+            except ArithmeticError:  # an overflow, or a division by an underflowed product
+                in_range = False
+            if not in_range:
+                named = ", ".join(f"{name}={getattr(self, name)}" for name in inputs)
+                raise ValueError(f"{width} or its square leaves the float range: {named}")
 
     @classmethod
     def reference_defaults(cls) -> "SpectralModel":

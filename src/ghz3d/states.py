@@ -13,6 +13,10 @@ One pruning rule holds everywhere: a state never holds an amplitude with
 ``|a| <= PRUNE_EPS``; every :class:`PhotonicState` is built through
 ``_checked``, which drops them.
 
+Detection is one pass (:func:`_detect`): a state is postselected while it is
+expanded through a map, so only the selected terms are built, and they are
+normalized once, by the square root of the probability they sum to.
+
 Everything here is an immutable value; all operations are pure functions.
 """
 
@@ -85,6 +89,8 @@ class FockTerm:
 
 def _occupation_factorial(occ: Occupation) -> float:
     """prod n_m! over the multiset of modes in occ."""
+    if len(set(occ)) == len(occ):
+        return 1.0
     out = 1.0
     run = 1
     for i in range(1, len(occ) + 1):
@@ -382,8 +388,9 @@ def postselect(
     """Condition on exactly one photon per detector path and none elsewhere.
 
     Returns the renormalized conditional state and the pre-normalization
-    probability (squared Fock norm of the selected component).  Probability 0
-    with an empty state signals an empty result; it is not an error.
+    probability (squared Fock norm of the selected component), normalizing
+    once.  Probability 0 with an empty state signals an empty result; it is
+    not an error.
     """
     wanted = set(detector_paths)
     kept: dict[Occupation, complex] = {}
@@ -394,9 +401,33 @@ def postselect(
         kept[occ] = amp
     if not kept:
         return PhotonicState({}), 0.0
-    # selected terms are singly occupied, so the Fock factor is 1
+    # selected terms are singly occupied: the Fock factor is 1, so sqrt(prob) is norm() bit for bit
     prob = sum(abs(a) ** 2 for a in kept.values())
-    return PhotonicState._trusted(kept).normalize(), prob
+    return PhotonicState._trusted(kept).scale(1.0 / math.sqrt(prob)), prob
+
+
+def _detect(m: LinearMap, state: PhotonicState, detector_paths: Iterable[str]) -> tuple[PhotonicState, float]:
+    """``postselect(apply(m, state), detector_paths)``, bit for bit, in one pass.
+
+    A partial product is dropped as soon as a photon lands off the detector
+    paths or on an occupied one; the others are summed in ``apply``'s order.
+    Every mode is still looked up, so UnsupportedMode is raised where
+    ``apply`` raises it; a non-finite amplitude on a dropped term goes unseen.
+    """
+    wanted = frozenset(detector_paths)
+    out: dict[Occupation, complex] = {}
+    for occ, amp in state._terms.items():
+        partial = [((), (), amp)]  # (modes, their paths, amplitude)
+        for mode in occ:
+            image = [(dst, dst[0], c) for dst, c in m.image(mode) if dst[0] in wanted]
+            partial = [
+                (modes + (dst,), paths + (p,), a * c)
+                for modes, paths, a in partial for dst, p, c in image if p not in paths
+            ]
+        for modes, _, a in partial:
+            key = _canonical(modes)
+            out[key] = out.get(key, 0.0) + a
+    return postselect(PhotonicState._trusted(out), wanted)
 
 
 def inner(s1: PhotonicState, s2: PhotonicState) -> complex:

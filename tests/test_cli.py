@@ -229,6 +229,9 @@ FRACTIONAL_BASIS = {
         (["counts"], {k: v for k, v in RATES.items() if k != "singles"}, "invalid rate file: singles[A] is missing"),
         # a wrong-typed ratio is named before the missing c0_over_c1
         (["simulate"], {"pipeline": {"source2": {"c1_over_c2": "2"}}}, "pipeline.source2.c1_over_c2 must be a number: '2'"),
+        # finite widths whose derived width or square leaves the float range
+        (["hom"], {"spectral": {"crystal_length_m": 1e-200, "delta_inv_gv_s_per_m": 1e-200}}, "crystal_length=1e-200, delta_inv_gv=1e-200"),
+        (["hom"], {"spectral": {"sigma_f_hz": 1e200}}, "invalid spectral config: sigma_f or its square leaves the float range: sigma_f=1e+200"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

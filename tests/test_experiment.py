@@ -17,7 +17,7 @@ import pytest
 
 import ghz3d.states
 from ghz3d import experiment, tomography
-from ghz3d.elements import ELLS, ElementSpec, Projector1, SorterConvention, build_element
+from ghz3d.elements import ELLS, ElementSpec, Projector1, SorterConvention, build_element, project
 from ghz3d.experiment import (
     CROSS_BLOCKED,
     DEFAULT_MIRRORS,
@@ -37,7 +37,7 @@ from ghz3d.experiment import (
     run_pipeline,
     spdc_state,
 )
-from ghz3d.states import LinearMap, ModeLabel, PhotonicState, apply, fidelity_pure, fold, postselect
+from ghz3d.states import LinearMap, ModeLabel, PhotonicState, apply, fidelity_pure, fold, postselect, tensor
 
 from pipeline_oracle import expand
 
@@ -185,14 +185,15 @@ def test_detected_applies_one_map_per_source_state(monkeypatch):
     amps = SourceAmplitudes.from_ratios(1.7, 2.0)
     cfg = PipelineConfig(source1=amps, source2=amps, include_c2=True, mirrors=DETAILED_SETUP_MIRRORS)
     assert len(cfg.multiport) == 7
-    run_apply = experiment.apply
+    run_detect = experiment._detect
     maps = []
 
-    def counted(m, state):
+    def counted(m, state, detector_paths):
         maps.append(m)
-        return run_apply(m, state)
+        return run_detect(m, state, detector_paths)
 
-    monkeypatch.setattr(experiment, "apply", counted)
+    # one detection pass (expansion and postselection together) per source state
+    monkeypatch.setattr(experiment, "_detect", counted)
     for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
         maps.clear()
         assert experiment._detected(cfg, experiment._sources(cfg, tags)) == cfg.detected[tags]
@@ -232,6 +233,55 @@ def test_multiport_map_folds_the_source_modes_only():
         for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
             source = experiment._sources(cfg, tags)
             assert postselect(apply(full, source), cfg.detector_paths) == cfg.detected[tags]
+
+
+def exact(detected):
+    """A (state, probability) pair as text that tells apart every bit,
+    signed zeros and the order of the terms included."""
+    state, p = detected
+    return repr(list(state._terms.items())), repr(p)
+
+
+@functools.cache
+def every_detected_run():
+    """(config, full source state, its one-pass detection) for each run of every config."""
+    return [
+        (cfg, source, experiment._detected(cfg, source))
+        for cfg in every_mirror_and_sorter_config()
+        for source in (experiment._sources(cfg, tags) for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS))
+    ]
+
+
+def test_one_pass_detection_is_postselect_of_apply_bit_for_bit():
+    for cfg, source, once in every_detected_run():
+        assert exact(once) == exact(postselect(apply(cfg.multiport_map, source), cfg.detector_paths))
+
+
+def projected_in_turn(cfg, projection, detected):
+    """The four-fold probability from public project calls in detector order."""
+    state, p = detected
+    for path in cfg.detector_paths:
+        if path in projection:
+            state, p_proj = project(projection[path], state)
+            p *= p_proj
+    return p
+
+
+SUPERPOSED = {
+    "A": Projector1.of("A", {0: 1.0, 2: 1j}),
+    "B": Projector1.of("B", {2: 1.0, -1: -1.0}),
+    "C": Projector1.of("C", {0: 1.0, 1: 0.5 - 0.5j}),
+    "D": Projector1.of("D", {-1: 1.0, 1: 1.0}),
+}
+
+
+def test_projected_fourfold_is_a_loop_of_project_calls_bit_for_bit():
+    # the CMP alone, as classify_terms projects, and one projector per detector, as hom_scan does
+    fig2 = fig2_projectors()
+    for cfg, _, detected in every_detected_run():
+        for projection in ({cfg.cmp.path: cfg.cmp}, {}, fig2, SUPERPOSED):
+            got = experiment._projected_fourfold(cfg, projection, detected)
+            assert repr(got) == repr(projected_in_turn(cfg, projection, detected))
 
 
 def sorter_blocked_in_turn(cfg, kinds):
@@ -304,6 +354,18 @@ def test_a_photon_meeting_the_spp_at_l_minus_4_or_5_leaves_the_window(ell):
         PipelineConfig(elements_override=(to, spp))
     inside = ElementSpec("RELABEL", ("A",), {"mapping": {"1": [-3, 1], "-3": [1, 1]}})
     assert PipelineConfig(elements_override=(inside, spp)).multiport_map.support == SOURCE_MODES
+
+
+def test_combo_source_is_the_product_of_its_pair_terms():
+    cfg = PipelineConfig()
+    for kinds in itertools.product(experiment.TERM_KINDS, repeat=2):
+        for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
+            pairs = [
+                PhotonicState({experiment._pair_term(kind, paths, tag): 1.0})
+                for kind, paths, tag in zip(kinds, (cfg.source1_paths, cfg.source2_paths), tags)
+            ]
+            combo = experiment._sources(cfg, tags, kinds)
+            assert repr(list(combo._terms.items())) == repr(list(tensor(*pairs)._terms.items()))
 
 
 def test_classify_terms_runs_each_combo_once_per_tag_set(monkeypatch):

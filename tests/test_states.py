@@ -610,6 +610,53 @@ def test_fold_of_element_maps_equals_the_identity_extended_fold(chain):
         assert scoped.support == extended.support
 
 
+def detection(f):
+    """What a detection returns, as text that tells apart every bit, signed
+    zeros and term order included, or the UnsupportedMode it raises."""
+    try:
+        state, p = f()
+    except UnsupportedMode as exc:
+        return "UnsupportedMode", str(exc)
+    return repr(list(state._terms.items())), repr(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(states(), states(repeated=True)),
+    st.lists(elements(scoped=True), max_size=4),
+    st.sets(st.sampled_from(CHAIN_PATHS), min_size=1),
+)
+def test_one_pass_detection_is_postselect_of_apply(state, chain, detector_paths):
+    detector_paths = "".join(sorted(detector_paths))
+    for m in (fold(chain, CHAIN_MODES), *chain):
+        once = detection(lambda: ghz3d.states._detect(m, state, detector_paths))
+        assert once == detection(lambda: postselect(apply(m, state), detector_paths))
+    # postselect normalizes once, as normalize() would
+    selected = {occ: a for occ, a in state._terms.items() if sorted(m.path for m in occ) == list(detector_paths)}
+    if selected:
+        by_norm = PhotonicState(selected).normalize(), PhotonicState(selected).norm() ** 2
+        assert detection(lambda: postselect(state, detector_paths)) == detection(lambda: by_norm)
+
+
+def test_one_pass_detection_sums_as_apply_does():
+    # apply adds each amplitude to the 0.0 it starts from, which turns the
+    # -0.0 imaginary part of (1+0j) * (-1-0j) into 0.0
+    m = LinearMap({A1: ((A1, complex(-1.0, -0.0)),), B1: ((B1, 1.0),)})
+    state = PhotonicState({(A1, B1): 1.0})
+    once = detection(lambda: ghz3d.states._detect(m, state, "AB"))
+    assert once == detection(lambda: postselect(apply(m, state), "AB")) == (repr([((A1, B1), -1 + 0j)]), "1.0")
+
+
+def test_one_pass_detection_looks_up_every_mode():
+    # the first photon leaves the detector paths, which empties every partial
+    # product; the second still meets the map, outside its support
+    m = LinearMap({A0: ((ModeLabel("C", 0), 1.0),), A1: ((A1, 1.0),)})
+    state = PhotonicState({(A0, ModeLabel("A", 2)): 1.0})
+    for detect in (lambda: apply(m, state), lambda: ghz3d.states._detect(m, state, "AB")):
+        with pytest.raises(UnsupportedMode, match="ModeLabel\\(path='A', oam=2"):
+            detect()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(states(repeated=True))
 def test_fock_norm_identities(state):
