@@ -238,8 +238,7 @@ def noise_params_from(cfg: Mapping[str, Any]) -> NoiseParams:
 
 
 def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
-    from . import tomography
-    from .experiment import classify_terms, factorization_check, logical_state_vector, run_pipeline
+    from .experiment import classify_terms, factorization_check, logical_state_vector, run_pipeline, schmidt_rank_vector
     from .states import UnsupportedMode
 
     pipeline = pipeline_config_from(cfg)
@@ -256,9 +255,9 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     dump_json(state_to_dict(result.bcd_state), out / "state.json")
     if result.relabel is not None:
         vec = logical_state_vector(result.bcd_state, result.relabel, pipeline.ghz_paths)
-        ghz, _ = tomography.ideal_ghz()
-        report["fidelity_vs_ghz"] = float(abs(ghz.conj() @ vec) ** 2)
-        report["srv"] = list(tomography.srv(vec))
+        g = 1.0 / math.sqrt(3.0)  # each nonzero amplitude of tomography.ideal_ghz()
+        report["fidelity_vs_ghz"] = abs(g * vec[0] + g * vec[13] + g * vec[26]) ** 2
+        report["srv"] = list(schmidt_rank_vector(vec))
         report["relabel"] = result.relabel.to_dict()
     else:
         report["fidelity_vs_ghz"] = None

@@ -25,11 +25,10 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 from ._checks import require_finite
 from .states import (
@@ -133,15 +132,18 @@ def parity_sorter(
 
 def local_unitary(
     path: str,
-    matrix: np.ndarray,
+    matrix: Sequence[Sequence[complex]],
     basis: Sequence[int],
     tags: Sequence[int] = DEFAULT_TAGS,
 ) -> LinearMap:
     """Unitary acting on a 3-level OAM span of one path, identity elsewhere.
 
-    ``matrix[j, k]`` is the amplitude for basis[k] -> basis[j]; u†u must be
-    the identity to 1e-12 per entry, as in :meth:`LinearMap.check_unitary`.
+    ``matrix[j][k]`` (nested lists or an ndarray) is the amplitude for
+    basis[k] -> basis[j]; u†u must be the identity to 1e-12 per entry, as in
+    :meth:`LinearMap.check_unitary`.  The only element that imports numpy.
     """
+    import numpy as np
+
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (len(basis), len(basis)):
         raise ValueError("matrix shape must match basis length")
@@ -251,6 +253,12 @@ ELEMENT_KINDS = (
 )
 
 
+def _is_ndarray(value: object) -> bool:
+    """Whether ``value`` is a numpy array; one exists only once numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
 def _numbers(name: str, value: object) -> Iterator[tuple[str, complex]]:
     """(name, number) for every number nested in a params value, e.g.
     ``("matrix[1][2]", 0.5)``; any other leaf, such as a string or a bool, is
@@ -258,7 +266,7 @@ def _numbers(name: str, value: object) -> Iterator[tuple[str, complex]]:
     if isinstance(value, Mapping):
         for key, item in value.items():
             yield from _numbers(f"{name}[{key}]", item)
-    elif isinstance(value, (list, tuple, np.ndarray)):
+    elif isinstance(value, (list, tuple)) or _is_ndarray(value):
         for i, item in enumerate(value):
             yield from _numbers(f"{name}[{i}]", item)
     elif isinstance(value, numbers.Number) and not isinstance(value, bool):
@@ -352,7 +360,7 @@ def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> Line
         return parity_sorter(spec.paths[0], spec.paths[1], conv, tags=tags)
     if spec.kind == "LOCAL_UNITARY":
         basis = tuple(_oam(f"basis[{i}]", ell) for i, ell in enumerate(p["basis"]))
-        return local_unitary(spec.paths[0], np.asarray(p["matrix"], dtype=complex), basis, tags=tags)
+        return local_unitary(spec.paths[0], p["matrix"], basis, tags=tags)
     if spec.kind == "RELABEL":
         mapping = {}
         for old, (new, phase) in dict(p["mapping"]).items():

@@ -36,8 +36,6 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ._checks import require_finite
 from .elements import (
     ElementSpec,
@@ -499,9 +497,9 @@ def ghz_relabel_map(
 
 def logical_state_vector(
     bcd_state: PhotonicState, relab: RelabelMap, ghz_paths: Sequence[str]
-) -> np.ndarray:
+) -> list[complex]:
     """27-component logical vector of a three-photon state under a relabeling."""
-    vec = np.zeros(27, dtype=complex)
+    vec = [0j] * 27
     for term in bcd_state.terms:
         by_path = {m.path: m.oam for m in term.occupation}
         idx = 0
@@ -511,8 +509,60 @@ def logical_state_vector(
             idx = idx * 3 + level
             phase *= ph
         vec[idx] += term.amplitude * phase
-    n = np.linalg.norm(vec)
-    return vec / n if n else vec
+    # the norm and the scaling as numpy takes them: real squares, then imaginary
+    n = math.sqrt(sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec))
+    return [z * (1.0 / n) for z in vec] if n else vec
+
+
+#: a Schmidt coefficient above this counts toward the Schmidt rank
+SCHMIDT_RANK_EPS = 1e-7
+#: Jacobi rotations stop once every row pair's overlap is this small against the larger norm squared
+_JACOBI_TOL = 1e-15
+_JACOBI_SWEEPS = 30  # four suffice for the 3 x 9 split matrices
+
+
+def schmidt_rank_vector(vec: Sequence[complex]) -> tuple[int, int, int]:
+    """Schmidt rank vector of a 27-component (B, C, D) vector, index 9b + 3c + d:
+    per one-vs-rest split B|CD, C|BD, D|BC, the number of Schmidt coefficients
+    (singular values of the 3 x 9 split matrix) above ``SCHMIDT_RANK_EPS``."""
+    vec = [complex(z) for z in vec]
+    if len(vec) != 27:
+        raise ValueError(f"need 27 components, got {len(vec)}")
+    ranks = []
+    for stride in (9, 3, 1):
+        rows = [[z for k, z in enumerate(vec) if k // stride % 3 == i] for i in range(3)]
+        ranks.append(sum(s > SCHMIDT_RANK_EPS for s in _singular_values(rows)))
+    return tuple(ranks)  # type: ignore[return-value]
+
+
+def _singular_values(rows: list[list[complex]]) -> list[float]:
+    """Singular values of the matrix with these three rows, by one-sided (Hestenes)
+    Jacobi: plane rotations of row pairs until the rows are orthogonal, when
+    their norms are the singular values.  The rows are rotated in place."""
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            a, b = rows[i], rows[j]
+            alpha = sum(z.real * z.real + z.imag * z.imag for z in a)
+            beta = sum(z.real * z.real + z.imag * z.imag for z in b)
+            gamma = sum(x.conjugate() * y for x, y in zip(a, b))
+            g = abs(gamma)
+            # against the larger norm, not both: a row of rounding noise is not rotated on and on
+            if g <= _JACOBI_TOL * max(alpha, beta):
+                continue
+            rotated = True
+            # phase row j so that <a, b> = g is real, then rotate by t = tan(theta)
+            zeta = (beta - alpha) / (2.0 * g)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            unphase = (gamma / g).conjugate()
+            b = [unphase * y for y in b]
+            rows[i] = [c * x - s * y for x, y in zip(a, b)]
+            rows[j] = [s * x + c * y for x, y in zip(a, b)]
+        if not rotated:
+            break
+    return [math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in row)) for row in rows]
 
 
 SURVIVES = "SURVIVES"

@@ -69,12 +69,21 @@ def wavelength_to_bandwidth(delta_lambda: float, lambda_c: float) -> float:
 
 
 def visibility(sigma_f: float, sigma_gvm_: float) -> float:
-    """Closed-form four-photon interference visibility for Gaussian filters."""
+    """Closed-form four-photon interference visibility for Gaussian filters.
+
+    Widths whose squares or their sums leave the float range are a ValueError
+    naming both; the widths are not rescaled, which would move V's last bit."""
     if sigma_f <= 0 or sigma_gvm_ <= 0:
         raise ValueError("spectral widths must be positive")
-    sf2 = sigma_f**2
-    sg2 = sigma_gvm_**2
-    return sigma_gvm_ * math.sqrt(2 * sf2 + sg2) / (sf2 + sg2)
+    try:
+        sf2 = sigma_f**2
+        sg2 = sigma_gvm_**2
+        v = sigma_gvm_ * math.sqrt(2 * sf2 + sg2) / (sf2 + sg2)
+    except ArithmeticError:  # a square past the float range, or two squares underflowing to 0
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"spectral widths leave the float range: sigma_f={sigma_f}, sigma_gvm={sigma_gvm_}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -207,7 +216,8 @@ class DipModel:
 
     ``width`` is the 1/e half-width of the fitted Gaussian in delay-stage
     position units (m).  The 1/e convention is this library's choice and is
-    documented rather than universal.
+    documented rather than universal.  ``baseline`` may be 0 (``fit_dip``
+    clips it to >= 0), but not negative, which would give negative rates.
     """
 
     baseline: float   # counts/s far from the dip
@@ -217,6 +227,8 @@ class DipModel:
 
     def __post_init__(self) -> None:
         require_finite("dip model", **vars(self))
+        if self.baseline < 0:
+            raise ValueError(f"baseline must not be negative: {self.baseline}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
         if self.width <= 0:

@@ -129,8 +129,11 @@ def schmidt_coeffs(psi: np.ndarray, party: int) -> np.ndarray:
 
 
 def srv(psi: np.ndarray) -> tuple[int, int, int]:
-    """Schmidt rank vector across the three one-vs-rest bipartitions (coefficients > 1e-7)."""
-    return tuple(int(np.sum(schmidt_coeffs(psi, p) > 1e-7)) for p in range(3))  # type: ignore[return-value]
+    """Schmidt rank vector across the three one-vs-rest bipartitions (coefficients > 1e-7),
+    by :func:`ghz3d.experiment.schmidt_rank_vector`."""
+    from .experiment import schmidt_rank_vector  # here: witness and mermin load no pipeline module
+
+    return schmidt_rank_vector(np.asarray(psi, dtype=complex).ravel().tolist())
 
 
 def witness_bound(psi: np.ndarray) -> float:

@@ -232,6 +232,8 @@ FRACTIONAL_BASIS = {
         # finite widths whose derived width or square leaves the float range
         (["hom"], {"spectral": {"crystal_length_m": 1e-200, "delta_inv_gv_s_per_m": 1e-200}}, "crystal_length=1e-200, delta_inv_gv=1e-200"),
         (["hom"], {"spectral": {"sigma_f_hz": 1e200}}, "invalid spectral config: sigma_f or its square leaves the float range: sigma_f=1e+200"),
+        # a negative baseline, which would write negative rates
+        (["hom"], {"spectral": {"dip": {"baseline_cps": -1}}}, "invalid dip config: baseline must not be negative: -1.0"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

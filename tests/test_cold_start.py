@@ -27,7 +27,7 @@ NOT_LOADED = {
     "hom": {"ghz3d.states", "ghz3d.experiment", "ghz3d.tomography"},
     "witness": PIPELINE,
     "mermin": PIPELINE,
-    "simulate": set(),
+    "simulate": {"numpy", "ghz3d.tomography", "ghz3d.spectral"},
 }
 
 RUN_CLI = "import json, sys; from ghz3d.cli import main; code = main(sys.argv[1:]); print(json.dumps(sorted(sys.modules))); sys.exit(code)"
@@ -51,6 +51,46 @@ def _fresh_modules(code: str, *args: str) -> set[str]:
 
 def test_import_ghz3d_loads_no_submodule():
     assert _fresh_modules("import json, sys, ghz3d; print(json.dumps(sorted(sys.modules)))") == {"ghz3d"}
+
+
+def test_import_experiment_loads_no_numpy():
+    loaded = _fresh_modules("import json, sys, ghz3d.experiment; print(json.dumps(sorted(sys.modules)))")
+    assert "ghz3d.elements" in loaded and "numpy" not in loaded
+
+
+BUILD_LOCAL_UNITARIES = """
+import json, sys
+from ghz3d.elements import ElementSpec, NotUnitary, build_element
+
+def spec(matrix):
+    return ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": matrix, "basis": [0, 1, -1]})
+
+swap, shear = [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+specs = [spec(swap), spec(shear)]
+assert "numpy" not in sys.modules  # the params check needs no numpy
+import numpy as np
+
+specs += [spec(np.array(swap)), spec(np.array(shear))]
+assert build_element(specs[0]).entries == build_element(specs[2]).entries
+assert build_element(specs[0]).image(("B", 0, 0)) == ((("B", 1, 0), 1 + 0j),)
+for bad in specs[1::2]:
+    try:
+        build_element(bad)
+    except NotUnitary:
+        continue
+    raise AssertionError(f"built a non-unitary matrix: {bad}")
+try:
+    spec(np.array([["1", "0", "0"]] * 3))
+except ValueError as exc:
+    assert "matrix[0][0] must be a number" in str(exc), exc
+else:
+    raise AssertionError("an array of strings passed the params check")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_local_unitary_builds_from_lists_and_arrays_and_rejects_non_unitary():
+    assert "numpy" in _fresh_modules(BUILD_LOCAL_UNITARIES)
 
 
 def test_reexports_resolve_on_every_access(monkeypatch):

@@ -35,11 +35,13 @@ from ghz3d.experiment import (
     logical_state_vector,
     pipeline_elements,
     run_pipeline,
+    schmidt_rank_vector,
     spdc_state,
 )
 from ghz3d.states import LinearMap, ModeLabel, PhotonicState, apply, fidelity_pure, fold, postselect, tensor
 
 from pipeline_oracle import expand
+from test_tomography import svd_rank_vector
 
 BALANCED = 1.0 / math.sqrt(3.0)
 
@@ -462,6 +464,20 @@ def test_relabeled_state_is_exact_ghz():
     ghz, _ = tomography.ideal_ghz()
     assert abs(abs(ghz.conj() @ vec) ** 2 - 1.0) < 1e-12
     assert tomography.srv(vec) == (3, 3, 3)
+
+
+def test_schmidt_rank_rule_matches_svd_on_every_relabelled_config():
+    """Each of the 1024 cached configs whose detected state has a relabel map
+    once the term weights are let go (tol=1.0): 256 of them, all (3, 3, 3)."""
+    relabelled = 0
+    for cfg in every_mirror_and_sorter_config():
+        res = run_pipeline(cfg)
+        relab = ghz_relabel_map(res.bcd_state, cfg.ghz_paths, tol=1.0)
+        if relab is not None:
+            vec = logical_state_vector(res.bcd_state, relab, cfg.ghz_paths)
+            assert schmidt_rank_vector(vec) == svd_rank_vector(vec) == (3, 3, 3)
+            relabelled += 1
+    assert relabelled == 256
 
 
 def test_srv_is_333_for_any_positive_sources():

@@ -75,6 +75,19 @@ def test_visibility_monotone_in_filter_width():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("sigma_f, sigma_gvm", [(1e200, 1e12), (1e12, 1e200), (1e154, 1.0), (1e-200, 1e-200)])
+def test_visibility_of_widths_past_the_float_range_names_both(sigma_f, sigma_gvm):
+    with pytest.raises(ValueError, match=re.escape(f"sigma_f={sigma_f}, sigma_gvm={sigma_gvm}")):
+        sp.visibility(sigma_f, sigma_gvm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0))
+def test_visibility_of_in_range_widths_is_the_closed_form_unscaled(log_f, log_g):
+    f, g = 10.0**log_f, 10.0**log_g
+    assert sp.visibility(f, g) == g * math.sqrt(2 * f**2 + g**2) / (f**2 + g**2)
+
+
 # --- numeric four-photon probability ----------------------------------------------
 
 
@@ -301,6 +314,13 @@ def test_fit_round_trips_noiseless_dips(baseline, vis, width_frac, center_frac, 
     assert fitted.visibility == pytest.approx(truth.visibility, rel=1e-6)
     assert fitted.width == pytest.approx(truth.width, rel=1e-6)
     assert fitted.center == pytest.approx(truth.center, abs=truth.width * 1e-6)
+
+
+def test_dip_baseline_may_be_zero_but_not_negative():
+    with pytest.raises(ValueError, match="baseline must not be negative: -1.0"):
+        sp.DipModel(baseline=-1.0, visibility=0.5, width=1.0, center=0.0)
+    flat = sp.DipModel(baseline=0.0, visibility=0.5, width=1.0, center=0.0)
+    assert [rate for _, rate in sp.dip_curve(flat, [-1.0, 0.0, 1.0])] == [0.0, 0.0, 0.0]
 
 
 def test_invalid_model_parameters_rejected():
