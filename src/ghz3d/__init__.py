@@ -24,7 +24,6 @@ _EXPORTS = {
             "PhotonicState",
             "UnsupportedMode",
             "apply",
-            "compose",
             "extend_identity",
             "fidelity_pure",
             "postselect",

@@ -376,7 +376,7 @@ def cmd_mermin(cfg: dict, out: Path) -> int:
             "distinct_value_count": len(enum.distinct_values),
             "distinct_values": [{"a": z.a, "b": z.b} for z in enum.distinct_values],
             "noise_expectation": contradiction.noise_expectation(noise),
-            "branch": ops.branch,
+            "branch": 0,  # the principal fractional-power branch, the only one
         },
         out / "mermin.json",
     )

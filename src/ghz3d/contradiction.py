@@ -119,7 +119,6 @@ class OperatorSet:
     y: np.ndarray
     w: np.ndarray
     z: np.ndarray
-    branch: int
 
     def by_name(self, name: str) -> np.ndarray:
         return {"X": self.x, "Y": self.y, "W": self.w, "Z": self.z}[name]
@@ -132,11 +131,9 @@ def _shift() -> np.ndarray:
     return x
 
 
-def _z_fractional(power_third: int, branch: int) -> np.ndarray:
-    """Branch ``branch`` of Z^(power_third/3): diag phases omega^{t(p/3 + b)}."""
-    phases = [
-        np.exp(2j * np.pi * t * (power_third / 3.0 + branch) / 3.0) for t in range(3)
-    ]
+def _z_fractional(power_third: int) -> np.ndarray:
+    """Principal branch of Z^(power_third/3): diag phases omega^{t p/3}."""
+    phases = [np.exp(2j * np.pi * t * (power_third / 3.0) / 3.0) for t in range(3)]
     return np.diag(phases)
 
 
@@ -162,12 +159,12 @@ def build_operators() -> OperatorSet:
     """
     x = _shift()
     z = np.diag([OMEGA**t for t in range(3)])
-    z13 = _z_fractional(1, 0)
-    z23 = _z_fractional(2, 0)
+    z13 = _z_fractional(1)
+    z23 = _z_fractional(2)
     y, w = z13 @ x @ z13.conj().T, z23 @ x @ z23.conj().T
     for a in (x, y, w, z):
         a.flags.writeable = False
-    ops = OperatorSet(x=x, y=y, w=w, z=z, branch=0)
+    ops = OperatorSet(x=x, y=y, w=w, z=z)
     concurrent_set_check(ops, ideal_ghz()[0])
     return ops
 
@@ -307,13 +304,13 @@ def measurement_protocol(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (HILBERT, HILBERT):
         raise ValueError("rho must be 27x27")
-    u = _product_eigenbasis(tuple(settings), ops.branch)
+    u = _product_eigenbasis(tuple(settings))
     probs = np.real(np.diag(u.conj().T @ rho @ u)).reshape(3, 3, 3)
     return np.clip(probs, 0.0, None)
 
 
 @functools.lru_cache(maxsize=32)
-def _product_eigenbasis(settings: tuple[str, str, str], branch: int) -> np.ndarray:
+def _product_eigenbasis(settings: tuple[str, str, str]) -> np.ndarray:
     """Read-only kron of the three parties' eigenbases, kept per setting choice."""
     # eigenvector matrix of X: columns |chi_k> with X|chi_k> = omega^k |chi_k>
     chi = np.array(
@@ -321,8 +318,8 @@ def _product_eigenbasis(settings: tuple[str, str, str], branch: int) -> np.ndarr
     )
     basis = {
         "X": chi,
-        "Y": _z_fractional(1, branch) @ chi,
-        "W": _z_fractional(2, branch) @ chi,
+        "Y": _z_fractional(1) @ chi,
+        "W": _z_fractional(2) @ chi,
     }
     u = np.kron(np.kron(basis[settings[0]], basis[settings[1]]), basis[settings[2]])
     u.flags.writeable = False

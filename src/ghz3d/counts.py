@@ -48,8 +48,9 @@ class RateModel:
             raise ValueError("eta must lie in (0, 1]")
         if self.pair_rate < 0:
             raise ValueError("pair_rate must be non-negative")
-        if any(v < 0 for v in self.singles.values()) or any(v < 0 for v in self.pairs.values()):
-            raise ValueError("counts must be non-negative")
+        negative = [f"{name}={value}" for name, value in counts.items() if value < 0]
+        if negative:
+            raise ValueError(f"counts must be non-negative: {', '.join(negative)}")
         object.__setattr__(self, "singles", dict(self.singles))
         object.__setattr__(self, "pairs", dict(self.pairs))
 

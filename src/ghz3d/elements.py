@@ -139,31 +139,33 @@ def local_unitary(
     """Unitary acting on a 3-level OAM span of one path, identity elsewhere.
 
     ``matrix[j][k]`` (nested lists or an ndarray) is the amplitude for
-    basis[k] -> basis[j]; u†u must be the identity to 1e-12 per entry, as in
-    :meth:`LinearMap.check_unitary`.  The only element that imports numpy.
+    basis[k] -> basis[j]; u†u must be the identity to 1e-12 per entry, the
+    check :class:`~ghz3d.states.LinearMap` runs on every map declared unitary.
     """
-    import numpy as np
-
-    u = np.asarray(matrix, dtype=complex)
-    if u.shape != (len(basis), len(basis)):
+    try:
+        u = [[complex(x) for x in row] for row in matrix]
+    except TypeError:  # a flat matrix, or entries that are not numbers
+        u = []
+    if not u or len(u) != len(basis) or any(len(row) != len(basis) for row in u):
         raise ValueError("matrix shape must match basis length")
-    if not np.allclose(u.conj().T @ u, np.eye(len(basis)), rtol=0.0, atol=1e-12):
-        raise NotUnitary("matrix fails unitarity check")
     entries = {}
     basis = list(basis)
     for t in tags:
         for k, ell in enumerate(basis):
             image = tuple(
-                (ModeLabel(path, basis[j], t), complex(u[j, k]))
+                (ModeLabel(path, basis[j], t), u[j][k])
                 for j in range(len(basis))
-                if u[j, k] != 0
+                if u[j][k] != 0
             )
             entries[ModeLabel(path, ell, t)] = image
         for ell in ELLS:
             m = ModeLabel(path, ell, t)
             if m not in entries:
                 entries[m] = ((m, 1.0),)
-    return LinearMap(entries, unitary=True)
+    try:
+        return LinearMap(entries, unitary=True)
+    except ValueError:
+        raise NotUnitary("matrix fails unitarity check") from None
 
 
 def relabel(
@@ -277,11 +279,8 @@ def _numbers(name: str, value: object) -> Iterator[tuple[str, complex]]:
 
 @dataclass(frozen=True)
 class ElementSpec:
-    """Declarative description of one optical element, JSON-serializable.
-
-    Serialized field names are ``kind``, ``paths``, ``params``; this is the
-    schema the CLI pipeline config consumes for custom element chains.
-    """
+    """Declarative description of one optical element; ``kind``, ``paths``
+    and ``params`` are the keys of an element of the CLI config's chains."""
 
     kind: str
     paths: tuple[str, ...]
@@ -305,13 +304,6 @@ class ElementSpec:
         )
         object.__setattr__(self, "paths", tuple(self.paths))
         object.__setattr__(self, "params", MappingProxyType(params))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "paths": list(self.paths), "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "ElementSpec":
-        return cls(str(d["kind"]), tuple(d.get("paths", ())), dict(d.get("params", {})))
 
 
 def _oam(name: str, value: object) -> int:

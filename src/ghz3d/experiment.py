@@ -53,7 +53,6 @@ from .states import (
     PhotonicState,
     UnsupportedMode,
     _detect,
-    apply,
     fidelity_pure,
     fold,
     tensor,
@@ -108,8 +107,9 @@ class SourceAmplitudes:
     def __post_init__(self) -> None:
         amplitudes = {"c0": self.c0, "c1": self.c1, "c2": self.c2}
         require_finite("source amplitudes", **amplitudes)
-        if min(amplitudes.values()) < 0:
-            raise ValueError("source amplitudes must be non-negative")
+        negative = [f"{name}={value}" for name, value in amplitudes.items() if value < 0]
+        if negative:
+            raise ValueError(f"source amplitudes must be non-negative: {', '.join(negative)}")
         tol = 1e-12
         # the normalization bounds every amplitude by 1; rejecting larger ones
         # first keeps the squares below from overflowing
@@ -305,14 +305,15 @@ def _source_modes(cfg: PipelineConfig) -> set[ModeLabel]:
     }
 
 
-def _sources(
-    cfg: PipelineConfig, tags: tuple[int, int], kinds: tuple[str, str] | None = None
-) -> PhotonicState:
-    """Both sources at ``tags`` (one pair term each, with amplitude 1, if ``kinds``)."""
-    if kinds is None:
-        s1 = spdc_state(cfg.source1_paths, cfg.source1, tags[0], cfg.include_c2)
-        s2 = spdc_state(cfg.source2_paths, cfg.source2, tags[1], cfg.include_c2)
-        return tensor(s1, s2)
+def _sources(cfg: PipelineConfig, tags: tuple[int, int]) -> PhotonicState:
+    """Both sources at ``tags``."""
+    s1 = spdc_state(cfg.source1_paths, cfg.source1, tags[0], cfg.include_c2)
+    s2 = spdc_state(cfg.source2_paths, cfg.source2, tags[1], cfg.include_c2)
+    return tensor(s1, s2)
+
+
+def _combo(cfg: PipelineConfig, tags: tuple[int, int], kinds: tuple[str, str]) -> PhotonicState:
+    """One pair term of each source at ``tags``, with amplitude 1."""
     pair1 = _pair_term(kinds[0], cfg.source1_paths, tags[0])
     return PhotonicState({pair1 + _pair_term(kinds[1], cfg.source2_paths, tags[1]): 1.0})
 
@@ -590,12 +591,8 @@ class TermClassification:
 
 def _sorter_parity_blocked(cfg: PipelineConfig, kinds: tuple[str, str]) -> bool:
     """True when the first sorter alone (mirrors keep l's parity) already precludes one photon per path."""
-    state = _sources(cfg, EQUAL_TAGS, kinds)
-    sorter = next((m for spec, m in cfg.multiport if spec.kind == "PARITY_SORTER"), None)
-    if sorter is not None:
-        state = apply(sorter, state)
-    detector = sorted(cfg.detector_paths)
-    return all(sorted(m.path for m in t.occupation) != detector for t in state.terms)
+    sorter = next((m for spec, m in cfg.multiport if spec.kind == "PARITY_SORTER"), LinearMap({}))
+    return _detect(sorter, _combo(cfg, EQUAL_TAGS, kinds), cfg.detector_paths)[1] == 0.0
 
 
 def classify_terms(cfg: PipelineConfig) -> TermClassification:
@@ -613,9 +610,9 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
     for k1 in TERM_KINDS:
         for k2 in TERM_KINDS:
             kinds = (k1, k2)
-            equal = _detected(cfg, _sources(cfg, EQUAL_TAGS, kinds))
+            equal = _detected(cfg, _combo(cfg, EQUAL_TAGS, kinds))
             p_ind = _projected_fourfold(cfg, cmp, equal)
-            p_dis = _projected_fourfold(cfg, cmp, _detected(cfg, _sources(cfg, DISTINCT_TAGS, kinds)))
+            p_dis = _projected_fourfold(cfg, cmp, _detected(cfg, _combo(cfg, DISTINCT_TAGS, kinds)))
             hom = abs(p_ind - p_dis) > 1e-12
             if p_ind > 1e-12:
                 verdict = SURVIVES

@@ -100,7 +100,7 @@ class SpectralModel:
         require_finite("spectral model", **vars(self))
         for name, value in vars(self).items():
             if value <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive: {name}={value}")
         # the widths the model squares and divides by, each with the inputs it derives from
         gvm = ("crystal_length", "delta_inv_gv")
         for width, inputs in (("sigma_f", ("sigma_f",)), ("sigma_gvm", gvm), ("sigma_s", ("sigma_p", *gvm))):
@@ -232,7 +232,7 @@ class DipModel:
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
         if self.width <= 0:
-            raise ValueError("width must be positive")
+            raise ValueError(f"width must be positive: width={self.width}")
 
     def rate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

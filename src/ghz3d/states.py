@@ -238,10 +238,6 @@ class LinearMap:
         if self.unitary and not self.check_unitary():
             raise ValueError("map declared unitary but fails column orthonormality")
 
-    @property
-    def support(self) -> set[ModeLabel]:
-        return set(self.entries)
-
     def image(self, mode: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
         try:
             return self.entries[mode]
@@ -306,18 +302,6 @@ def _push(
         for dst, c2 in m.image(mid):
             acc[dst] = acc.get(dst, 0.0) + c1 * c2
     return tuple(sorted((dst, c) for dst, c in acc.items() if c != 0))
-
-
-def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    """Map equal to applying ``inner`` first, then ``outer``, acting on the
-    paths of both; unitary-flagged when both are.
-
-    Its support is that of ``inner`` plus the support modes of ``outer`` on
-    paths ``inner`` does not act on, where ``inner`` is the identity.
-    """
-    entries = {src: _push(image, outer) for src, image in inner.entries.items()}
-    entries.update((src, image) for src, image in outer.entries.items() if src[0] not in inner.paths)
-    return _acting_on(LinearMap(entries, unitary=outer.unitary and inner.unitary), outer.paths | inner.paths)
 
 
 def fold(chain: Sequence[LinearMap], modes: Iterable[ModeLabel]) -> LinearMap:

@@ -87,8 +87,9 @@ class NoiseParams:
     def __post_init__(self) -> None:
         weights = {f"weights[{i}]": w for i, w in enumerate(self.weights)}
         require_finite("noise parameters", p=self.p, c=self.c, **weights)
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.c <= 1.0):
-            raise ValueError("p and c must lie in [0, 1]")
+        outside = [f"{name}={value}" for name, value in (("p", self.p), ("c", self.c)) if not 0.0 <= value <= 1.0]
+        if outside:
+            raise ValueError(f"p and c must lie in [0, 1]: {', '.join(outside)}")
         if len(self.weights) != 3:
             raise ValueError(f"need three weights, got {len(self.weights)}")
         # the GHZ normalization needs a sum of squares that is a normal float

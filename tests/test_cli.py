@@ -234,6 +234,12 @@ FRACTIONAL_BASIS = {
         (["hom"], {"spectral": {"sigma_f_hz": 1e200}}, "invalid spectral config: sigma_f or its square leaves the float range: sigma_f=1e+200"),
         # a negative baseline, which would write negative rates
         (["hom"], {"spectral": {"dip": {"baseline_cps": -1}}}, "invalid dip config: baseline must not be negative: -1.0"),
+        # out-of-domain values, each named after its domain message
+        (["simulate"], {"pipeline": {"source1": {"c0": 0.9, "c1": -0.1}}}, "source amplitudes must be non-negative: c1=-0.1"),
+        (["witness"], {"noise": {"c": 2}}, "p and c must lie in [0, 1]: c=2"),
+        (["hom"], {"spectral": {"dip": {"width_m": -1}}}, "width must be positive: width=-1"),
+        (["hom"], {"spectral": {"sigma_f_hz": -1}}, "sigma_f must be positive: sigma_f=-1"),
+        (["counts"], dict(RATES, singles=dict(RATES["singles"], A=-1)), "counts must be non-negative: singles[A]=-1"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):
@@ -391,9 +397,18 @@ def test_byte_determinism(tmp_path, args):
 
 
 def test_elements_override_reproduces_default_chain(tmp_path):
+    from ghz3d.elements import ElementSpec
     from ghz3d.experiment import PipelineConfig, pipeline_elements
 
-    chain = [spec.to_dict() for spec in pipeline_elements(PipelineConfig())]
+    chain = [
+        {"kind": "MIRROR", "paths": ["C"], "params": {}},
+        {"kind": "PARITY_SORTER", "paths": ["B", "C"], "params": {"odd_swaps": True, "swap_phase": 1.0}},
+        {"kind": "SPP_REFLECT", "paths": ["A"], "params": {}},
+        {"kind": "BEAM_SPLITTER", "paths": ["A", "B"], "params": {}},
+        {"kind": "MIRROR", "paths": ["A"], "params": {}},
+    ]
+    default = pipeline_elements(PipelineConfig())
+    assert tuple(ElementSpec(e["kind"], tuple(e["paths"]), e["params"]) for e in chain) == default
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pipeline": {"elements": chain}}))
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0

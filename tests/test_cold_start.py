@@ -65,20 +65,25 @@ from ghz3d.elements import ElementSpec, NotUnitary, build_element
 def spec(matrix):
     return ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": matrix, "basis": [0, 1, -1]})
 
-swap, shear = [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
-specs = [spec(swap), spec(shear)]
-assert "numpy" not in sys.modules  # the params check needs no numpy
-import numpy as np
-
-specs += [spec(np.array(swap)), spec(np.array(shear))]
-assert build_element(specs[0]).entries == build_element(specs[2]).entries
-assert build_element(specs[0]).image(("B", 0, 0)) == ((("B", 1, 0), 1 + 0j),)
-for bad in specs[1::2]:
+def rejected(bad):
     try:
         build_element(bad)
     except NotUnitary:
-        continue
+        return True
     raise AssertionError(f"built a non-unitary matrix: {bad}")
+
+swap, shear = [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+specs = [spec(swap), spec(shear)]
+# neither the params check nor the build and its unitarity check needs numpy
+built = build_element(specs[0])
+assert built.image(("B", 0, 0)) == ((("B", 1, 0), 1 + 0j),)
+assert rejected(specs[1])
+assert "numpy" not in sys.modules
+import numpy as np
+
+specs += [spec(np.array(swap)), spec(np.array(shear))]
+assert build_element(specs[2]).entries == built.entries
+assert rejected(specs[3])
 try:
     spec(np.array([["1", "0", "0"]] * 3))
 except ValueError as exc:

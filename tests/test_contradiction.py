@@ -91,11 +91,6 @@ def test_concurrent_residuals_small(ops, ghz_pair):
         assert np.linalg.norm(op @ ghz - (OMEGA**exp) * ghz) < 1e-10
 
 
-def test_principal_branch_recorded(ops):
-    assert ops.branch == 0
-    assert ct.build_operators().branch == 0
-
-
 # --- Mermin operator -------------------------------------------------------------
 
 
@@ -262,8 +257,8 @@ def test_protocol_matches_photonic_rotation(ops, ghz_pair):
     setting = ("X", "Y", "W")
     basis_map = {
         "X": chi,
-        "Y": ct._z_fractional(1, ops.branch) @ chi,
-        "W": ct._z_fractional(2, ops.branch) @ chi,
+        "Y": ct._z_fractional(1) @ chi,
+        "W": ct._z_fractional(2) @ chi,
     }
     all_modes = {ModeLabel(p, ell) for p in paths for ell in range(3)}
     rotated = state
@@ -332,9 +327,9 @@ def test_enumeration_is_built_once(enumeration):
 
 def test_protocol_eigenbases_are_built_once_and_read_only(ops, ghz_pair):
     _, rho = ghz_pair
-    u = ct._product_eigenbasis(("X", "Y", "W"), ops.branch)
-    assert ct._product_eigenbasis(("X", "Y", "W"), ops.branch) is u
-    assert np.array_equal(ct._product_eigenbasis.__wrapped__(("X", "Y", "W"), ops.branch), u)
+    u = ct._product_eigenbasis(("X", "Y", "W"))
+    assert ct._product_eigenbasis(("X", "Y", "W")) is u
+    assert np.array_equal(ct._product_eigenbasis.__wrapped__(("X", "Y", "W")), u)
     with pytest.raises(ValueError, match="read-only"):
         u[0, 0] = 0.0
     assert np.array_equal(ct.measurement_protocol("XYW", rho, ops), ct.measurement_protocol(["X", "Y", "W"], rho, ops))

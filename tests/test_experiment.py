@@ -178,7 +178,7 @@ def test_runs_reuse_the_detected_source_states(monkeypatch):
     def push(*args):
         raise AssertionError("a state was pushed through the multi-port after the config")
 
-    monkeypatch.setattr(experiment, "apply", push)
+    monkeypatch.setattr(experiment, "_detect", push)
     assert run_pipeline(cfg) == res
     assert hom_scan(cfg, fig2_projectors(), (0.0, 0.3, 1.0)) == scan
 
@@ -228,9 +228,9 @@ def every_mirror_and_sorter_config():
 
 def test_multiport_map_folds_the_source_modes_only():
     assert len(SOURCE_MODES) == 40 and len(TRACKED_MODES) == 132
-    assert PipelineConfig().multiport_map.support == SOURCE_MODES
+    assert set(PipelineConfig().multiport_map.entries) == SOURCE_MODES
     for cfg in every_mirror_and_sorter_config():
-        assert cfg.multiport_map.support <= SOURCE_MODES
+        assert set(cfg.multiport_map.entries) <= SOURCE_MODES
         full = fold([m for _, m in cfg.multiport], TRACKED_MODES)
         for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
             source = experiment._sources(cfg, tags)
@@ -288,7 +288,7 @@ def test_projected_fourfold_is_a_loop_of_project_calls_bit_for_bit():
 
 def sorter_blocked_in_turn(cfg, kinds):
     """The sorter verdict from every mirror up to the first sorter applied in turn."""
-    state = experiment._sources(cfg, experiment.EQUAL_TAGS, kinds)
+    state = experiment._combo(cfg, experiment.EQUAL_TAGS, kinds)
     for spec, m in cfg.multiport:
         if spec.kind in ("MIRROR", "PARITY_SORTER"):
             state = apply(m, state)
@@ -300,13 +300,18 @@ def sorter_blocked_in_turn(cfg, kinds):
 
 def test_sorter_verdict_ignores_the_mirrors_before_the_sorter():
     # a mirror keeps the parity of l, so it never changes the sorter's routing
-    blocked = collections.Counter()
-    for cfg in every_mirror_and_sorter_config():
+    no_sorter = PipelineConfig(
+        elements_override=tuple(spec for spec in pipeline_elements(PipelineConfig()) if spec.kind != "PARITY_SORTER")
+    )
+    blocked = collections.defaultdict(collections.Counter)
+    for cfg in (*every_mirror_and_sorter_config(), no_sorter):
         for kinds in itertools.product(experiment.TERM_KINDS, repeat=2):
             verdict = experiment._sorter_parity_blocked(cfg, kinds)
             assert verdict == sorter_blocked_in_turn(cfg, kinds)
-            blocked[verdict] += 1
-    assert blocked[True] and blocked[False]
+            blocked[cfg is no_sorter][verdict] += 1
+    assert blocked[False][True] and blocked[False][False]
+    # with no sorter in the chain every combo leaves one photon per path
+    assert blocked[True] == {False: 9}
 
 
 def test_configs_share_each_built_in_element_map():
@@ -355,7 +360,7 @@ def test_a_photon_meeting_the_spp_at_l_minus_4_or_5_leaves_the_window(ell):
     with pytest.raises(ValueError, match=re.escape("pipeline.elements push a photon out of the tracked OAM window")):
         PipelineConfig(elements_override=(to, spp))
     inside = ElementSpec("RELABEL", ("A",), {"mapping": {"1": [-3, 1], "-3": [1, 1]}})
-    assert PipelineConfig(elements_override=(inside, spp)).multiport_map.support == SOURCE_MODES
+    assert set(PipelineConfig(elements_override=(inside, spp)).multiport_map.entries) == SOURCE_MODES
 
 
 def test_combo_source_is_the_product_of_its_pair_terms():
@@ -366,7 +371,7 @@ def test_combo_source_is_the_product_of_its_pair_terms():
                 PhotonicState({experiment._pair_term(kind, paths, tag): 1.0})
                 for kind, paths, tag in zip(kinds, (cfg.source1_paths, cfg.source2_paths), tags)
             ]
-            combo = experiment._sources(cfg, tags, kinds)
+            combo = experiment._combo(cfg, tags, kinds)
             assert repr(list(combo._terms.items())) == repr(list(tensor(*pairs)._terms.items()))
 
 

@@ -26,7 +26,6 @@ DEFAULTED_PARAMETERS = {
     "elements.relabel(tags)",
     "elements.spp_reflect(tags)",
     "experiment.SourceAmplitudes.from_ratios(c1_over_c2)",
-    "experiment._sources(kinds)",
     "experiment.ghz_relabel_map(tol)",
     "experiment.spdc_state(include_c2)",
     "experiment.spdc_state(tag)",
