@@ -238,7 +238,7 @@ def noise_params_from(cfg: Mapping[str, Any]) -> NoiseParams:
 
 
 def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
-    from .experiment import classify_terms, factorization_check, logical_state_vector, run_pipeline, schmidt_rank_vector
+    from .experiment import classify_terms, logical_state_vector, run_pipeline, schmidt_rank_vector
     from .states import UnsupportedMode
 
     pipeline = pipeline_config_from(cfg)
@@ -254,7 +254,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     }
     dump_json(state_to_dict(result.bcd_state), out / "state.json")
     if result.relabel is not None:
-        vec = logical_state_vector(result.bcd_state, result.relabel, pipeline.ghz_paths)
+        vec = logical_state_vector(result.bcd_state, result.relabel)
         g = 1.0 / math.sqrt(3.0)  # each nonzero amplitude of tomography.ideal_ghz()
         report["fidelity_vs_ghz"] = abs(g * vec[0] + g * vec[13] + g * vec[26]) ** 2
         report["srv"] = list(schmidt_rank_vector(vec))
@@ -263,9 +263,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         report["fidelity_vs_ghz"] = None
         report["srv"] = None
         report["relabel"] = None
-    report["factorized"] = result.a_state is not None and factorization_check(
-        result.four_photon_state, result.a_state, result.bcd_state
-    )
+    report["factorized"] = result.a_state is not None
     report["term_classification"] = {
         f"{k1}|{k2}": {
             "verdict": r.verdict,

@@ -279,10 +279,9 @@ def noise_expectation(params: NoiseParams) -> float:
     return 9.0 * params.c * params.p * num / den
 
 
-def noise_expectation_matrix(params: NoiseParams, ops: OperatorSet | None = None) -> complex:
+def noise_expectation_matrix(params: NoiseParams) -> complex:
     """Tr(noise_model(params) * O), the cross-check route."""
-    ops = ops or build_operators()
-    return quantum_expectation(mermin_operator(ops), noise_model(params))
+    return quantum_expectation(mermin_operator(build_operators()), noise_model(params))
 
 
 def measurement_protocol(
@@ -295,12 +294,13 @@ def measurement_protocol(
     Each party is rotated into the eigenbasis of its chosen observable; the
     27 outcomes are indexed by omega exponents (k1, k2, k3) and returned as
     a (3, 3, 3) probability array.  Outcome k means eigenvalue omega^k.
+    ``ops`` does not change the result, since the eigenbases are fixed; the
+    parameter stays because callers pass it positionally.
     """
     if isinstance(settings, str):
         settings = tuple(settings)
     if len(settings) != 3 or any(s not in SETTINGS for s in settings):
         raise ValueError("settings must be three of X, Y, W")
-    ops = ops or build_operators()
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (HILBERT, HILBERT):
         raise ValueError("rho must be 27x27")

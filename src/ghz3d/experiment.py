@@ -53,10 +53,16 @@ from .states import (
     PhotonicState,
     UnsupportedMode,
     _detect,
-    fidelity_pure,
     fold,
     tensor,
 )
+
+#: the fixed setup: source 1 feeds paths A and B, source 2 paths C and D; the
+#: CMP sits on A and the three GHZ photons leave on B, C and D
+SOURCE1_PATHS = ("A", "B")
+SOURCE2_PATHS = ("C", "D")
+DETECTOR_PATHS = (*SOURCE1_PATHS, *SOURCE2_PATHS)
+GHZ_PATHS = ("B", "C", "D")
 
 #: mirror stations exposed by the pipeline, in beam order
 MIRROR_STATIONS = (
@@ -81,6 +87,8 @@ CMP_KET = {0: 1.0, -1: 1.0}  # normalized by Projector1.of
 #: per-source tags of the two runs: indistinguishable and distinguishable photons
 EQUAL_TAGS = (0, 0)
 DISTINCT_TAGS = (1, 2)
+#: every tag either run gives a photon; each element map covers them all
+RUN_TAGS = tuple(sorted({*EQUAL_TAGS, *DISTINCT_TAGS}))
 
 EVEN, ODD_PLUS, ODD_MINUS = "even", "odd+", "odd-"
 TERM_KINDS = (EVEN, ODD_PLUS, ODD_MINUS)
@@ -90,6 +98,15 @@ C2_PLUS, C2_MINUS = "c2+", "c2-"
 PAIR_ELLS = {EVEN: (0, 0), ODD_PLUS: (1, -1), ODD_MINUS: (-1, 1), C2_PLUS: (2, -2), C2_MINUS: (-2, 2)}
 #: every OAM value a source photon can carry
 SOURCE_ELLS = tuple(sorted({ell for pair in PAIR_ELLS.values() for ell in pair}))
+#: every mode a photon of either source occupies in either run: its paths x
+#: SOURCE_ELLS x its tag in EQUAL_TAGS and in DISTINCT_TAGS
+SOURCE_MODES = frozenset(
+    ModeLabel(path, ell, tags[i])
+    for tags in (EQUAL_TAGS, DISTINCT_TAGS)
+    for i, paths in enumerate((SOURCE1_PATHS, SOURCE2_PATHS))
+    for path in paths
+    for ell in SOURCE_ELLS
+)
 
 
 @dataclass(frozen=True)
@@ -144,8 +161,6 @@ class SourceAmplitudes:
 class PipelineConfig:
     """Everything needed to assemble and run the four-photon pipeline."""
 
-    source1_paths: tuple[str, str] = ("A", "B")
-    source2_paths: tuple[str, str] = ("C", "D")
     source1: SourceAmplitudes = field(default_factory=SourceAmplitudes.balanced)
     source2: SourceAmplitudes = field(default_factory=SourceAmplitudes.balanced)
     mirrors: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_MIRRORS))
@@ -169,8 +184,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
-        if len(set(self.detector_paths)) != 4:
-            raise ValueError("source paths must be four distinct paths")
         if not isinstance(self.include_c2, bool):
             raise ValueError(f"include_c2 must be a bool: {self.include_c2!r}")
         cmp_ket = {} if self.cmp_ket is None else _oam_keys("cmp_ket", self.cmp_ket)
@@ -191,14 +204,12 @@ class PipelineConfig:
         if any(n < 0 for n in mirrors.values()):
             raise ValueError("mirror counts must be non-negative")
         object.__setattr__(self, "mirrors", MappingProxyType(mirrors))
-        object.__setattr__(self, "source1_paths", tuple(self.source1_paths))
-        object.__setattr__(self, "source2_paths", tuple(self.source2_paths))
         if self.cmp_ket is not None:
             object.__setattr__(self, "cmp_ket", MappingProxyType(cmp_ket))
         if self.elements_override is not None:
             object.__setattr__(self, "elements_override", tuple(self.elements_override))
         try:
-            cmp = None if self.cmp_ket is None else Projector1.of(self.source1_paths[0], self.cmp_ket)
+            cmp = None if self.cmp_ket is None else Projector1.of("A", self.cmp_ket)
         except ValueError as exc:
             raise ValueError(f"cmp_ket: {exc}") from None
         object.__setattr__(self, "cmp", cmp)
@@ -210,15 +221,6 @@ class PipelineConfig:
         except UnsupportedMode as exc:
             raise ValueError(f"pipeline.elements push a photon out of the tracked OAM window: {exc}") from None
         object.__setattr__(self, "detected", MappingProxyType(detected))
-
-    @property
-    def detector_paths(self) -> tuple[str, str, str, str]:
-        return (*self.source1_paths, *self.source2_paths)
-
-    @property
-    def ghz_paths(self) -> tuple[str, str, str]:
-        """Paths carrying the three entangled photons (everything but A)."""
-        return (self.source1_paths[1], *self.source2_paths)
 
 
 def spdc_state(
@@ -243,31 +245,29 @@ def pipeline_elements(cfg: PipelineConfig) -> tuple[ElementSpec, ...]:
     """The multi-port as an ordered element chain (CMP excluded)."""
     if cfg.elements_override is not None:
         return cfg.elements_override
-    a, b = cfg.source1_paths
-    c, d = cfg.source2_paths
     chain: list[ElementSpec] = []
 
     def add_mirror(station: str, path: str) -> None:
         if cfg.mirrors.get(station, 0) % 2:
             chain.append(ElementSpec("MIRROR", (path,)))
 
-    add_mirror("a_pre_spp", a)
-    add_mirror("b_pre_sorter", b)
-    add_mirror("c_pre_sorter", c)
-    add_mirror("d", d)
+    add_mirror("a_pre_spp", "A")
+    add_mirror("b_pre_sorter", "B")
+    add_mirror("c_pre_sorter", "C")
+    add_mirror("d", "D")
     chain.append(
         ElementSpec(
             "PARITY_SORTER",
-            (b, c),
+            ("B", "C"),
             {"odd_swaps": cfg.sorter.odd_swaps, "swap_phase": cfg.sorter.swap_phase},
         )
     )
-    add_mirror("b_post_sorter", b)
-    add_mirror("c_post_sorter", c)
-    chain.append(ElementSpec("SPP_REFLECT", (a,)))
-    chain.append(ElementSpec("BEAM_SPLITTER", (a, b)))
-    add_mirror("a_post_bs", a)
-    add_mirror("b_post_bs", b)
+    add_mirror("b_post_sorter", "B")
+    add_mirror("c_post_sorter", "C")
+    chain.append(ElementSpec("SPP_REFLECT", ("A",)))
+    chain.append(ElementSpec("BEAM_SPLITTER", ("A", "B")))
+    add_mirror("a_post_bs", "A")
+    add_mirror("b_post_bs", "B")
     return tuple(chain)
 
 
@@ -282,47 +282,34 @@ def _compile_multiport(
     it raises UnsupportedMode.  An element that cannot be built is a
     ValueError naming it.
     """
-    tags = tuple(sorted({*EQUAL_TAGS, *DISTINCT_TAGS}))
     chain = []
     for i, spec in enumerate(pipeline_elements(cfg)):
         try:
-            chain.append((spec, build_element(spec, tags=tags)))
+            chain.append((spec, build_element(spec, tags=RUN_TAGS)))
         except (KeyError, TypeError, ValueError) as exc:
             where = f"pipeline element {i} ({spec.kind} on {', '.join(spec.paths)})"
             raise ValueError(f"{where}: {exc}") from None
-    return tuple(chain), fold([m for _, m in chain], _source_modes(cfg))
-
-
-def _source_modes(cfg: PipelineConfig) -> set[ModeLabel]:
-    """Every mode a photon of either source occupies in either run: its
-    paths x SOURCE_ELLS x its tag in EQUAL_TAGS and in DISTINCT_TAGS."""
-    return {
-        ModeLabel(path, ell, tags[i])
-        for tags in (EQUAL_TAGS, DISTINCT_TAGS)
-        for i, paths in enumerate((cfg.source1_paths, cfg.source2_paths))
-        for path in paths
-        for ell in SOURCE_ELLS
-    }
+    return tuple(chain), fold([m for _, m in chain], SOURCE_MODES)
 
 
 def _sources(cfg: PipelineConfig, tags: tuple[int, int]) -> PhotonicState:
     """Both sources at ``tags``."""
-    s1 = spdc_state(cfg.source1_paths, cfg.source1, tags[0], cfg.include_c2)
-    s2 = spdc_state(cfg.source2_paths, cfg.source2, tags[1], cfg.include_c2)
+    s1 = spdc_state(SOURCE1_PATHS, cfg.source1, tags[0], cfg.include_c2)
+    s2 = spdc_state(SOURCE2_PATHS, cfg.source2, tags[1], cfg.include_c2)
     return tensor(s1, s2)
 
 
-def _combo(cfg: PipelineConfig, tags: tuple[int, int], kinds: tuple[str, str]) -> PhotonicState:
+def _combo(tags: tuple[int, int], kinds: tuple[str, str]) -> PhotonicState:
     """One pair term of each source at ``tags``, with amplitude 1."""
-    pair1 = _pair_term(kinds[0], cfg.source1_paths, tags[0])
-    return PhotonicState({pair1 + _pair_term(kinds[1], cfg.source2_paths, tags[1]): 1.0})
+    pair1 = _pair_term(kinds[0], SOURCE1_PATHS, tags[0])
+    return PhotonicState({pair1 + _pair_term(kinds[1], SOURCE2_PATHS, tags[1]): 1.0})
 
 
 def _detected(cfg: PipelineConfig, state: PhotonicState) -> tuple[PhotonicState, float]:
     """A source state through the multi-port and postselected on one photon
     per detector, in one pass that builds only the selected terms and
     normalizes them once."""
-    return _detect(cfg.multiport_map, state, cfg.detector_paths)
+    return _detect(cfg.multiport_map, state, DETECTOR_PATHS)
 
 
 @dataclass(frozen=True)
@@ -405,7 +392,7 @@ def _detection_support(cfg: PipelineConfig) -> set[tuple[str, int]] | None:
     """
     if not (cfg.restrict_detection and cfg.include_c2 and max(cfg.source1.c2, cfg.source2.c2) > 0):
         return None
-    c2_free = tensor(spdc_state(cfg.source1_paths, cfg.source1), spdc_state(cfg.source2_paths, cfg.source2))
+    c2_free = tensor(spdc_state(SOURCE1_PATHS, cfg.source1), spdc_state(SOURCE2_PATHS, cfg.source2))
     selected, _ = _detected(cfg, c2_free)
     return {(m.path, m.oam) for m in selected.modes()} or None
 
@@ -430,11 +417,11 @@ def _run_once(
     if four.is_zero:
         return PipelineResult(four, None, 0.0, None, None)
     probability = p_select * p_cmp
-    factored = factor_single_path(four, cfg.source1_paths[0])
+    factored = factor_single_path(four, "A")
     if factored is None:
         return PipelineResult(four, None, probability, four, None)
     a_state, bcd = factored
-    return PipelineResult(bcd, a_state, probability, four, ghz_relabel_map(bcd, cfg.ghz_paths))
+    return PipelineResult(bcd, a_state, probability, four, ghz_relabel_map(bcd))
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -453,15 +440,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     return res
 
 
-def ghz_relabel_map(
-    bcd_state: PhotonicState, ghz_paths: Sequence[str], tol: float = 1e-10
-) -> RelabelMap | None:
+def ghz_relabel_map(bcd_state: PhotonicState, tol: float = 1e-10) -> RelabelMap | None:
     """Declared relabeling turning the pipeline output into the balanced GHZ.
 
-    Requires three equal-weight terms with per-path distinct OAM values.
-    Logical level order follows the last path's values taken mod 3 when that
-    is a permutation of (0, 1, 2), canonical term order otherwise.  Phases
-    are pushed onto the first path's modes.
+    Requires three equal-weight terms on GHZ_PATHS with per-path distinct
+    OAM values.  Logical level order follows D's values taken mod 3 when
+    that is a permutation of (0, 1, 2), canonical term order otherwise.
+    Phases are pushed onto B's modes.
     """
     terms = bcd_state.terms
     if len(terms) != 3:
@@ -469,43 +454,41 @@ def ghz_relabel_map(
     weights = [abs(t.amplitude) for t in terms]
     if max(weights) - min(weights) > tol:
         return None
-    values: dict[str, list[int]] = {p: [] for p in ghz_paths}
+    values: dict[str, list[int]] = {p: [] for p in GHZ_PATHS}
     for t in terms:
         by_path = {m.path: m.oam for m in t.occupation}
-        if set(by_path) != set(ghz_paths):
+        if set(by_path) != set(GHZ_PATHS):
             return None
-        for p in ghz_paths:
+        for p in GHZ_PATHS:
             values[p].append(by_path[p])
-    for p in ghz_paths:
+    for p in GHZ_PATHS:
         if len(set(values[p])) != 3:
             return None
 
-    last = ghz_paths[-1]
+    last = GHZ_PATHS[-1]
     if sorted(v % 3 for v in values[last]) == [0, 1, 2]:
         order = sorted(range(3), key=lambda i: values[last][i] % 3)
     else:
         order = list(range(3))
 
-    by_path: dict[str, dict[int, tuple[int, complex]]] = {p: {} for p in ghz_paths}
+    by_path: dict[str, dict[int, tuple[int, complex]]] = {p: {} for p in GHZ_PATHS}
     for level, idx in enumerate(order):
         amp = terms[idx].amplitude
         phase = (amp / abs(amp)).conjugate()
-        for p in ghz_paths:
-            ph = phase if p == ghz_paths[0] else 1.0 + 0j
+        for p in GHZ_PATHS:
+            ph = phase if p == GHZ_PATHS[0] else 1.0 + 0j
             by_path[p][values[p][idx]] = (level, ph)
     return RelabelMap(by_path)
 
 
-def logical_state_vector(
-    bcd_state: PhotonicState, relab: RelabelMap, ghz_paths: Sequence[str]
-) -> list[complex]:
+def logical_state_vector(bcd_state: PhotonicState, relab: RelabelMap) -> list[complex]:
     """27-component logical vector of a three-photon state under a relabeling."""
     vec = [0j] * 27
     for term in bcd_state.terms:
         by_path = {m.path: m.oam for m in term.occupation}
         idx = 0
         phase = 1.0 + 0j
-        for p in ghz_paths:
+        for p in GHZ_PATHS:
             level, ph = relab.by_path[p][by_path[p]]
             idx = idx * 3 + level
             phase *= ph
@@ -592,7 +575,7 @@ class TermClassification:
 def _sorter_parity_blocked(cfg: PipelineConfig, kinds: tuple[str, str]) -> bool:
     """True when the first sorter alone (mirrors keep l's parity) already precludes one photon per path."""
     sorter = next((m for spec, m in cfg.multiport if spec.kind == "PARITY_SORTER"), LinearMap({}))
-    return _detect(sorter, _combo(cfg, EQUAL_TAGS, kinds), cfg.detector_paths)[1] == 0.0
+    return _detect(sorter, _combo(EQUAL_TAGS, kinds), DETECTOR_PATHS)[1] == 0.0
 
 
 def classify_terms(cfg: PipelineConfig) -> TermClassification:
@@ -610,9 +593,9 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
     for k1 in TERM_KINDS:
         for k2 in TERM_KINDS:
             kinds = (k1, k2)
-            equal = _detected(cfg, _combo(cfg, EQUAL_TAGS, kinds))
-            p_ind = _projected_fourfold(cfg, cmp, equal)
-            p_dis = _projected_fourfold(cfg, cmp, _detected(cfg, _combo(cfg, DISTINCT_TAGS, kinds)))
+            equal = _detected(cfg, _combo(EQUAL_TAGS, kinds))
+            p_ind = _projected_fourfold(cmp, equal)
+            p_dis = _projected_fourfold(cmp, _detected(cfg, _combo(DISTINCT_TAGS, kinds)))
             hom = abs(p_ind - p_dis) > 1e-12
             if p_ind > 1e-12:
                 verdict = SURVIVES
@@ -627,15 +610,11 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
     return TermClassification(reports)
 
 
-def _projected_fourfold(
-    cfg: PipelineConfig,
-    projection: Mapping[str, Projector1],
-    detected: tuple[PhotonicState, float],
-) -> float:
+def _projected_fourfold(projection: Mapping[str, Projector1], detected: tuple[PhotonicState, float]) -> float:
     """Four-fold probability of a detected state after the given projectors,
     in detector order; the state after the last one is not normalized."""
     state, p = detected
-    projectors = [projection[path] for path in cfg.detector_paths if path in projection]
+    projectors = [projection[path] for path in DETECTOR_PATHS if path in projection]
     for proj in projectors[:-1]:
         if p == 0.0:
             return 0.0
@@ -657,10 +636,10 @@ def hom_scan(
     (the path-A projector plays the role of the CMP).  Each probability is
     the convex mix o * P(indistinguishable) + (1 - o) * P(distinguishable).
     """
-    if set(projection) != set(cfg.detector_paths):
+    if set(projection) != set(DETECTOR_PATHS):
         raise ValueError("need exactly one projector per detector path")
-    p_ind = _projected_fourfold(cfg, projection, cfg.detected[EQUAL_TAGS])
-    p_dis = _projected_fourfold(cfg, projection, cfg.detected[DISTINCT_TAGS])
+    p_ind = _projected_fourfold(projection, cfg.detected[EQUAL_TAGS])
+    p_dis = _projected_fourfold(projection, cfg.detected[DISTINCT_TAGS])
     out = []
     for o in overlaps:
         if not 0.0 <= o <= 1.0:
@@ -668,12 +647,3 @@ def hom_scan(
         out.append((float(o), o * p_ind + (1 - o) * p_dis))
     return tuple(out)
 
-
-def factorization_check(
-    four_photon_state: PhotonicState,
-    a_state: PhotonicState,
-    bcd_state: PhotonicState,
-) -> bool:
-    """Whether the detected multi-photon state is (photon A) x (rest), to 1e-10 in fidelity."""
-    product = tensor(a_state, bcd_state)
-    return fidelity_pure(four_photon_state, product) >= 1.0 - 1e-10

@@ -168,10 +168,14 @@ def _nodes(model: SpectralModel, order: int) -> tuple[np.ndarray, np.ndarray, np
     return arrays
 
 
-def _p4_quadrature(model: SpectralModel, delta_t: float, order: int) -> float:
+def _sums(model: SpectralModel, delta_t: float, order: int) -> tuple[float, float]:
+    """(I2, cross) of the P4 quadrature at pair delay dT (s)."""
     omega, weights, phi = _nodes(model, order)
-    phase = np.exp(-1j * omega * delta_t)
-    i2, cross = p4_sums(weights, phi, phase)
+    return p4_sums(weights, phi, np.exp(-1j * omega * delta_t))
+
+
+def _p4_quadrature(model: SpectralModel, delta_t: float, order: int) -> float:
+    i2, cross = _sums(model, delta_t, order)
     return 2.0 * (i2**2) - 2.0 * cross
 
 
@@ -197,17 +201,15 @@ def p4_numeric(
 
 
 def p4_limit(model: SpectralModel, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Large-delay limit of P4: the oscillatory cross term averages out."""
-    _, weights, phi = _nodes(model, order)
-    i2 = float(np.sum(weights[:, None] * weights[None, :] * phi * phi))
+    """Large-delay limit of P4, 2 I2^2: the oscillatory cross term averages out."""
+    i2, _ = _sums(model, 0.0, order)
     return 2.0 * i2**2
 
 
 def visibility_numeric(model: SpectralModel, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """(P4(inf) - P4(0)) / P4(inf) from the quadrature route."""
-    p_inf = p4_limit(model, order)
-    p_zero = _p4_quadrature(model, 0.0, order)
-    return (p_inf - p_zero) / p_inf
+    """(P4(inf) - P4(0)) / P4(inf) = cross(0) / I2^2 from the quadrature route."""
+    i2, cross = _sums(model, 0.0, order)
+    return cross / i2**2
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ to key (seed, s) and counter zero before the draw; that yields the same
 stream as a freshly built ``Philox(key=(seed, s))``.
 
 The input-free constants are built once per process and shared read-only:
-the witness plan, the 64 settings of each canonical off-diagonal element,
-each setting's descriptors and operator vector (a read-only array), and
-the g and d of the last few (sorted setting keys, weights) pairs.
+the witness plan with the 64 settings of each witness element, each
+setting's descriptors and operator vector (a read-only array), and the g
+and d of the last few (sorted setting keys, weights) pairs.
 """
 
 from __future__ import annotations
@@ -69,6 +69,17 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _check_weights(what: str, weights: Sequence[complex]) -> None:
+    """Raise ValueError unless ``weights`` are three finite GHZ term weights
+    whose sum of squared moduli is a normal float, so that they normalize."""
+    require_finite(what, **{f"weights[{i}]": w for i, w in enumerate(weights)})
+    if len(weights) != 3:
+        raise ValueError(f"need three weights, got {len(weights)}")
+    squares = sum(z.real * z.real + z.imag * z.imag for z in map(complex, weights))
+    if not sys.float_info.min <= squares < math.inf:
+        raise ValueError(f"weights cannot be normalized: sum of squares {squares}")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Quality parameters of the produced state, as :func:`noise_model` uses them.
@@ -85,17 +96,11 @@ class NoiseParams:
     weights: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        weights = {f"weights[{i}]": w for i, w in enumerate(self.weights)}
-        require_finite("noise parameters", p=self.p, c=self.c, **weights)
+        require_finite("noise parameters", p=self.p, c=self.c)
+        _check_weights("noise parameters", self.weights)
         outside = [f"{name}={value}" for name, value in (("p", self.p), ("c", self.c)) if not 0.0 <= value <= 1.0]
         if outside:
             raise ValueError(f"p and c must lie in [0, 1]: {', '.join(outside)}")
-        if len(self.weights) != 3:
-            raise ValueError(f"need three weights, got {len(self.weights)}")
-        # the GHZ normalization needs a sum of squares that is a normal float
-        squares = sum(w * w for w in self.weights)
-        if not sys.float_info.min <= squares < math.inf:
-            raise ValueError(f"weights cannot be normalized: sum of squares {squares}")
 
     @classmethod
     def table1(cls) -> "NoiseParams":
@@ -104,10 +109,11 @@ class NoiseParams:
 
 
 def ideal_ghz(weights: Sequence[float] = (1.0, 1.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted GHZ state: normalized vector and its density matrix."""
+    """Weighted GHZ state: normalized vector and its density matrix.  Raises
+    ValueError unless ``weights`` are three finite weights whose sum of squared
+    moduli is a normal float."""
+    _check_weights("GHZ weights", weights)
     w = np.asarray(weights, dtype=complex)
-    if w.shape != (3,) or not np.any(w):
-        raise ValueError("need three weights, not all zero")
     vec = np.zeros(HILBERT, dtype=complex)
     for t in range(3):
         vec[t * 9 + t * 3 + t] = w[t]
@@ -238,14 +244,8 @@ def offdiag_projectors(
     <ijk| rho |lmn> = sum over settings of weight * Tr(rho P).  Slots with
     i_slot == l_slot use the auxiliary pair (value, q) whose four projectors
     each act as half the computational projector on the tracked space.
-    The settings of an element are built once per process and shared.
     """
     bra, ket = (tuple(int(x) for x in side) for side in element)
-    return _offdiag_projectors(bra, ket)
-
-
-@functools.lru_cache(maxsize=64)
-def _offdiag_projectors(bra: tuple[int, ...], ket: tuple[int, ...]) -> tuple[PlanSetting, ...]:
     if bra == ket:
         raise ValueError("use a diagonal setting for diagonal elements")
     per_slot: list[list[tuple[ProjKet, complex]]] = []
@@ -384,7 +384,8 @@ def _witness_functionals(
     keys: tuple[tuple[str, str, str], ...], weights: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The read-only vectors g and d of :func:`estimate_fidelity` over ``keys``,
-    kept for the last few (keys, weights).
+    kept for the last few (keys, weights).  The off-diagonal settings are the
+    witness plan's, in its order after the 27 computational ones.
 
     Raises KeyError when a setting of the witness plan is missing from ``keys``.
     """
@@ -399,9 +400,10 @@ def _witness_functionals(
                 d[index[(str(i), str(j), str(k))]] = 1.0
     for t in range(3):
         g[index[(str(t),) * 3]] = w[t] ** 2
-    for (bra, ket) in WITNESS_ELEMENTS:
+    offdiag = build_witness_plan()[27:]
+    for e, (bra, ket) in enumerate(WITNESS_ELEMENTS):
         scale = 2.0 * w[bra[0]] * w[ket[0]]
-        for setting in offdiag_projectors((bra, ket)):
+        for setting in offdiag[64 * e : 64 * (e + 1)]:
             g[index[setting.descriptors()]] += scale * setting.weight.real
     g.flags.writeable = d.flags.writeable = False
     return g, d
@@ -429,12 +431,14 @@ def estimate_fidelity(
     per-setting accidental counts are subtracted first, floored at zero;
     records with equal descriptors are summed.  Raises ValueError when the
     diagonal counts (of the data or of a resample) sum to zero, when
-    ``seed`` is not an int in [0, 2**64), or when ``n_resamples`` is not a
-    non-negative int.
+    ``seed`` is not an int in [0, 2**64), when ``n_resamples`` is not a
+    non-negative int, or when ``weights`` are not three finite weights whose
+    sum of squares is a normal float.
     """
     _check_seed(seed)
     if not (_is_int(n_resamples) and n_resamples >= 0):
         raise ValueError(f"n_resamples must be a non-negative int, got {n_resamples!r}")
+    _check_weights("GHZ weights", weights)
     observed: dict[tuple[str, str, str], float] = {}
     for rec in records:
         value = rec.counts

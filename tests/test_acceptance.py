@@ -43,7 +43,7 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 def test_criterion_1_ghz_generation():
     t0 = time.perf_counter()
     res = run_pipeline(PipelineConfig())
-    vec = logical_state_vector(res.bcd_state, res.relabel, ("B", "C", "D"))
+    vec = logical_state_vector(res.bcd_state, res.relabel)
     ghz, _ = tm.ideal_ghz()
     fid = float(abs(ghz.conj() @ vec) ** 2)
     rank = tm.srv(vec)

@@ -29,7 +29,6 @@ from ghz3d.experiment import (
     SourceAmplitudes,
     classify_terms,
     factor_single_path,
-    factorization_check,
     ghz_relabel_map,
     hom_scan,
     logical_state_vector,
@@ -228,13 +227,14 @@ def every_mirror_and_sorter_config():
 
 def test_multiport_map_folds_the_source_modes_only():
     assert len(SOURCE_MODES) == 40 and len(TRACKED_MODES) == 132
+    assert experiment.SOURCE_MODES == SOURCE_MODES
     assert set(PipelineConfig().multiport_map.entries) == SOURCE_MODES
     for cfg in every_mirror_and_sorter_config():
         assert set(cfg.multiport_map.entries) <= SOURCE_MODES
         full = fold([m for _, m in cfg.multiport], TRACKED_MODES)
         for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
             source = experiment._sources(cfg, tags)
-            assert postselect(apply(full, source), cfg.detector_paths) == cfg.detected[tags]
+            assert postselect(apply(full, source), experiment.DETECTOR_PATHS) == cfg.detected[tags]
 
 
 def exact(detected):
@@ -256,13 +256,13 @@ def every_detected_run():
 
 def test_one_pass_detection_is_postselect_of_apply_bit_for_bit():
     for cfg, source, once in every_detected_run():
-        assert exact(once) == exact(postselect(apply(cfg.multiport_map, source), cfg.detector_paths))
+        assert exact(once) == exact(postselect(apply(cfg.multiport_map, source), experiment.DETECTOR_PATHS))
 
 
 def projected_in_turn(cfg, projection, detected):
     """The four-fold probability from public project calls in detector order."""
     state, p = detected
-    for path in cfg.detector_paths:
+    for path in experiment.DETECTOR_PATHS:
         if path in projection:
             state, p_proj = project(projection[path], state)
             p *= p_proj
@@ -282,19 +282,19 @@ def test_projected_fourfold_is_a_loop_of_project_calls_bit_for_bit():
     fig2 = fig2_projectors()
     for cfg, _, detected in every_detected_run():
         for projection in ({cfg.cmp.path: cfg.cmp}, {}, fig2, SUPERPOSED):
-            got = experiment._projected_fourfold(cfg, projection, detected)
+            got = experiment._projected_fourfold(projection, detected)
             assert repr(got) == repr(projected_in_turn(cfg, projection, detected))
 
 
 def sorter_blocked_in_turn(cfg, kinds):
     """The sorter verdict from every mirror up to the first sorter applied in turn."""
-    state = experiment._combo(cfg, experiment.EQUAL_TAGS, kinds)
+    state = experiment._combo(experiment.EQUAL_TAGS, kinds)
     for spec, m in cfg.multiport:
         if spec.kind in ("MIRROR", "PARITY_SORTER"):
             state = apply(m, state)
         if spec.kind == "PARITY_SORTER":
             break
-    detector = sorted(cfg.detector_paths)
+    detector = sorted(experiment.DETECTOR_PATHS)
     return all(sorted(m.path for m in t.occupation) != detector for t in state.terms)
 
 
@@ -364,14 +364,13 @@ def test_a_photon_meeting_the_spp_at_l_minus_4_or_5_leaves_the_window(ell):
 
 
 def test_combo_source_is_the_product_of_its_pair_terms():
-    cfg = PipelineConfig()
     for kinds in itertools.product(experiment.TERM_KINDS, repeat=2):
         for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
             pairs = [
                 PhotonicState({experiment._pair_term(kind, paths, tag): 1.0})
-                for kind, paths, tag in zip(kinds, (cfg.source1_paths, cfg.source2_paths), tags)
+                for kind, paths, tag in zip(kinds, (experiment.SOURCE1_PATHS, experiment.SOURCE2_PATHS), tags)
             ]
-            combo = experiment._combo(cfg, tags, kinds)
+            combo = experiment._combo(tags, kinds)
             assert repr(list(combo._terms.items())) == repr(list(tensor(*pairs)._terms.items()))
 
 
@@ -465,7 +464,7 @@ def test_relabel_map_matches_reference_convention():
 
 def test_relabeled_state_is_exact_ghz():
     res = run_pipeline(PipelineConfig())
-    vec = logical_state_vector(res.bcd_state, res.relabel, ("B", "C", "D"))
+    vec = logical_state_vector(res.bcd_state, res.relabel)
     ghz, _ = tomography.ideal_ghz()
     assert abs(abs(ghz.conj() @ vec) ** 2 - 1.0) < 1e-12
     assert tomography.srv(vec) == (3, 3, 3)
@@ -477,9 +476,9 @@ def test_schmidt_rank_rule_matches_svd_on_every_relabelled_config():
     relabelled = 0
     for cfg in every_mirror_and_sorter_config():
         res = run_pipeline(cfg)
-        relab = ghz_relabel_map(res.bcd_state, cfg.ghz_paths, tol=1.0)
+        relab = ghz_relabel_map(res.bcd_state, tol=1.0)
         if relab is not None:
-            vec = logical_state_vector(res.bcd_state, relab, cfg.ghz_paths)
+            vec = logical_state_vector(res.bcd_state, relab)
             assert schmidt_rank_vector(vec) == svd_rank_vector(vec) == (3, 3, 3)
             relabelled += 1
     assert relabelled == 256
@@ -489,8 +488,8 @@ def test_srv_is_333_for_any_positive_sources():
     for ratio in (1.2, 1.7, 3.0):
         amps = SourceAmplitudes.from_ratios(ratio)
         res = run_pipeline(PipelineConfig(source1=amps, source2=amps))
-        relab = ghz_relabel_map(res.bcd_state, ("B", "C", "D"), tol=1.0)  # unbalanced ok
-        vec = logical_state_vector(res.bcd_state, relab, ("B", "C", "D"))
+        relab = ghz_relabel_map(res.bcd_state, tol=1.0)  # unbalanced ok
+        vec = logical_state_vector(res.bcd_state, relab)
         assert tomography.srv(vec) == (3, 3, 3)
 
 
@@ -642,9 +641,30 @@ def test_overlap_mixes_pipeline_probability():
 # --- factorization ---------------------------------------------------------------
 
 
+def factorizes(four, a_state, rest):
+    """Whether ``four`` is ``a_state`` x ``rest``, to 1e-10 in fidelity."""
+    return fidelity_pure(four, tensor(a_state, rest)) >= 1 - 1e-10
+
+
 def test_factorization_default_config():
     res = run_pipeline(PipelineConfig())
-    assert factorization_check(res.four_photon_state, res.a_state, res.bcd_state)
+    assert factorizes(res.four_photon_state, res.a_state, res.bcd_state)
+
+
+def test_a_split_off_photon_a_re_tensors_to_the_detected_state():
+    # the simulate report reads a_state is not None as factorized, with no re-check
+    cmp_kets = (None, {0: 1.0}, {0: 1.0, 2: -1.0, -1: 0.5j})
+    configs = [
+        *every_mirror_and_sorter_config(),
+        *(replace(cfg, cmp_ket=ket) for cfg in every_mirror_and_sorter_config()[:256] for ket in cmp_kets),
+    ]
+    split = collections.Counter()
+    for cfg in configs:
+        res = run_pipeline(cfg)
+        if res.a_state is not None:
+            assert factorizes(res.four_photon_state, res.a_state, res.bcd_state)
+        split[res.a_state is not None] += 1
+    assert split[True] and split[False]
 
 
 def test_factorization_fails_without_cmp():
@@ -657,7 +677,7 @@ def test_factorization_fails_without_cmp():
         {(ModeLabel("A", 0),): 1.0, (ModeLabel("A", -1),): 1.0}
     ).normalize()
     ghz_part = run_pipeline(PipelineConfig(source1=amps, source2=amps)).bcd_state
-    assert not factorization_check(res.four_photon_state, plus, ghz_part)
+    assert not factorizes(res.four_photon_state, plus, ghz_part)
 
 
 def test_factorization_single_source_vacuous():
@@ -675,7 +695,7 @@ def test_factorization_single_source_vacuous():
     factored = factor_single_path(detected, "A")
     assert factored is not None
     a_state, rest = factored
-    assert factorization_check(detected, a_state, rest)
+    assert factorizes(detected, a_state, rest)
 
 
 # --- higher-order source terms ----------------------------------------------------

@@ -16,7 +16,6 @@ PACKAGE = Path(ghz3d.__file__).parent
 DEFAULTED_PARAMETERS = {
     "cli.main(argv)",
     "contradiction.measurement_protocol(ops)",
-    "contradiction.noise_expectation_matrix(ops)",
     "elements.beam_splitter(tags)",
     "elements.build_element(tags)",
     "elements.local_unitary(tags)",
@@ -59,9 +58,7 @@ DEFAULTED_INIT_FIELDS = {
     "experiment.PipelineConfig.restrict_detection",
     "experiment.PipelineConfig.sorter",
     "experiment.PipelineConfig.source1",
-    "experiment.PipelineConfig.source1_paths",
     "experiment.PipelineConfig.source2",
-    "experiment.PipelineConfig.source2_paths",
     "experiment.SourceAmplitudes.c2",
     "states.LinearMap.unitary",
     "tomography.CountRecord.duration",

@@ -1,6 +1,9 @@
 """Witness machinery: GHZ states, Schmidt structure, projective
 reconstruction, the noise model, and simulated counting."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -239,11 +242,22 @@ def test_noise_model_limits():
         ((1e-200, 0.0, 0.0), "cannot be normalized"),  # the square underflows
         ((1.0, 1.0), "need three weights"),
         ((1.0, 1.0, 1.0, 1.0), "need three weights"),
+        ((1e200, 1e200, 1.0), "cannot be normalized"),
+        ((1e-200, 1e-200, 0.0), "cannot be normalized"),
+        ((math.nan, 1.0, 1.0), "must be finite: weights[0]=nan"),
+        ((1.0, math.inf, 1.0), "must be finite: weights[1]=inf"),
     ],
 )
 def test_noise_weights_must_be_three_and_normalizable(weights, message):
-    with pytest.raises(ValueError, match=message):
-        tm.NoiseParams(0.5, 0.5, weights)
+    # one rule for every taker of GHZ term weights
+    records = tm.simulate_counts(tm.ideal_ghz()[1], WITNESS_PLAN, 1652)
+    for use in (
+        lambda: tm.NoiseParams(0.5, 0.5, weights),
+        lambda: tm.ideal_ghz(weights),
+        lambda: tm.estimate_fidelity(records, weights, n_resamples=0),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            use()
 
 
 def test_extreme_normalizable_weights_give_a_density_matrix():
@@ -527,12 +541,10 @@ def test_witness_plan_and_projectors_are_built_once_and_read_only():
     plan = tm.build_witness_plan()
     assert tm.build_witness_plan() is plan
     assert tm.build_witness_plan.__wrapped__() == plan
-    element = ((0, 0, 0), (1, 1, 1))
-    settings = tm.offdiag_projectors(element)
-    # one canonical element, however its levels are spelled
-    assert tm.offdiag_projectors([[0, 0, 0], np.array([1, 1, 1])]) is settings
-    assert tm._offdiag_projectors.__wrapped__(*element) == settings
-    assert all(a is b for a, b in zip(plan[27:91], settings))  # the plan shares them
+    # the plan holds each witness element's settings, in order, after the 27 computational ones
+    assert plan[27:91] == tm.offdiag_projectors(((0, 0, 0), (1, 1, 1)))
+    assert plan[27:91] == tm.offdiag_projectors([[0, 0, 0], np.array([1, 1, 1])])
+    assert plan[27:] == tuple(s for element in tm.WITNESS_ELEMENTS for s in tm.offdiag_projectors(element))
     for setting in plan:
         v = setting.operator_vector()
         assert setting.operator_vector() is v and setting.descriptors() is setting.descriptors()
