@@ -42,12 +42,13 @@ class RateModel:
         scalars = {name: getattr(self, name) for name in ("rep_rate", "tau_int", "eta", "pair_rate")}
         counts = {f"{name}[{k}]": v for name in ("singles", "pairs") for k, v in getattr(self, name).items()}
         require_finite("rate model", **scalars, **counts)
-        if self.rep_rate <= 0 or self.tau_int <= 0:
-            raise ValueError("rep_rate and tau_int must be positive")
+        not_positive = [f"{name}={scalars[name]}" for name in ("rep_rate", "tau_int") if scalars[name] <= 0]
+        if not_positive:
+            raise ValueError(f"rep_rate and tau_int must be positive: {', '.join(not_positive)}")
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
+            raise ValueError(f"eta must lie in (0, 1]: eta={self.eta}")
         if self.pair_rate < 0:
-            raise ValueError("pair_rate must be non-negative")
+            raise ValueError(f"pair_rate must be non-negative: pair_rate={self.pair_rate}")
         negative = [f"{name}={value}" for name, value in counts.items() if value < 0]
         if negative:
             raise ValueError(f"counts must be non-negative: {', '.join(negative)}")

@@ -226,21 +226,22 @@ def project(proj: Projector1, state: PhotonicState) -> tuple[PhotonicState, floa
 
 def _projection(proj: Projector1, state: PhotonicState) -> PhotonicState:
     """|k><k| on the projector path applied to ``state``, not renormalized."""
+    path = proj.path
     coeffs = dict(proj.ket)
     out: dict = {}
     # in term order: the last bits of the sums below depend on it
     for occupation, amplitude in sorted(state._terms.items()):
-        in_path = [m for m in occupation if m.path == proj.path]
+        in_path = [m for m in occupation if m[0] == path]
         if len(in_path) != 1:
             continue
-        mode = in_path[0]
-        overlap = coeffs.get(mode.oam)
+        _, oam, tag = in_path[0]
+        overlap = coeffs.get(oam)
         if not overlap:
             continue
-        rest = tuple(m for m in occupation if m.path != proj.path)
+        rest = tuple(m for m in occupation if m[0] != path)
         amp = amplitude * overlap.conjugate()
         for ell, c in proj.ket:
-            key = tuple(sorted(rest + (ModeLabel(proj.path, ell, mode.tag),)))
+            key = tuple(sorted(rest + (ModeLabel(path, ell, tag),)))
             out[key] = out.get(key, 0.0) + amp * c
     return PhotonicState._trusted(out)
 

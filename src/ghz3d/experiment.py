@@ -31,6 +31,7 @@ a_post_bs; none if even parity swaps at the sorter):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -183,7 +184,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must lie in [0, 1]")
+            raise ValueError(f"overlap must lie in [0, 1]: overlap={self.overlap}")
         if not isinstance(self.include_c2, bool):
             raise ValueError(f"include_c2 must be a bool: {self.include_c2!r}")
         cmp_ket = {} if self.cmp_ket is None else _oam_keys("cmp_ket", self.cmp_ket)
@@ -201,8 +202,9 @@ class PipelineConfig:
         fractional = [f"mirrors[{k}]={v}" for k, v in self.mirrors.items() if v != mirrors[k]]
         if fractional:
             raise ValueError(f"mirror counts must be integers: {', '.join(fractional)}")
-        if any(n < 0 for n in mirrors.values()):
-            raise ValueError("mirror counts must be non-negative")
+        negative = [f"mirrors[{k}]={n}" for k, n in mirrors.items() if n < 0]
+        if negative:
+            raise ValueError(f"mirror counts must be non-negative: {', '.join(negative)}")
         object.__setattr__(self, "mirrors", MappingProxyType(mirrors))
         if self.cmp_ket is not None:
             object.__setattr__(self, "cmp_ket", MappingProxyType(cmp_ket))
@@ -233,11 +235,14 @@ def spdc_state(
     weights = {EVEN: amps.c0, ODD_PLUS: amps.c1, ODD_MINUS: amps.c1}
     if include_c2 and amps.c2:
         weights.update({C2_PLUS: amps.c2, C2_MINUS: amps.c2})
+    paths = tuple(paths)
     return PhotonicState({_pair_term(kind, paths, tag): w for kind, w in weights.items()})
 
 
-def _pair_term(kind: str, paths: Sequence[str], tag: int) -> Occupation:
-    """The two modes a pair term of ``kind`` occupies."""
+@functools.lru_cache(maxsize=64)
+def _pair_term(kind: str, paths: tuple[str, ...], tag: int) -> Occupation:
+    """The two modes a pair term of ``kind`` occupies, built once per process
+    for each (kind, paths, tag); the pipeline asks for 20 of them."""
     return tuple(ModeLabel(path, ell, tag) for path, ell in zip(paths, PAIR_ELLS[kind]))
 
 
@@ -299,8 +304,10 @@ def _sources(cfg: PipelineConfig, tags: tuple[int, int]) -> PhotonicState:
     return tensor(s1, s2)
 
 
+@functools.cache
 def _combo(tags: tuple[int, int], kinds: tuple[str, str]) -> PhotonicState:
-    """One pair term of each source at ``tags``, with amplitude 1."""
+    """One pair term of each source at ``tags``, with amplitude 1; each of the
+    18 (EQUAL_TAGS or DISTINCT_TAGS, kind pair) states is built once per process."""
     pair1 = _pair_term(kinds[0], SOURCE1_PATHS, tags[0])
     return PhotonicState({pair1 + _pair_term(kinds[1], SOURCE2_PATHS, tags[1]): 1.0})
 

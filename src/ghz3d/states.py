@@ -14,8 +14,9 @@ One pruning rule holds everywhere: a state never holds an amplitude with
 ``_checked``, which drops them.
 
 Detection is one pass (:func:`_detect`): a state is postselected while it is
-expanded through a map, so only the selected terms are built, and they are
-normalized once, by the square root of the probability they sum to.
+expanded through a map, so only the selected terms are built; the same pass
+checks and prunes them once and normalizes them once, by the square root of
+the probability they sum to, without going through :func:`postselect`.
 
 Everything here is an immutable value; all operations are pure functions.
 """
@@ -110,9 +111,11 @@ def _checked(terms: dict[Occupation, complex]) -> dict[Occupation, complex]:
         for occ, a in terms.items():
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                 raise ValueError(f"non-finite amplitude {a} on occupation {occ}")
-    sizes = {len(occ) for occ, a in terms.items() if a != 0}
-    if len(sizes) > 1:
-        raise ValueError(f"inhomogeneous photon numbers: {sorted(sizes)}")
+    sizes = set(map(len, terms))
+    if len(sizes) > 1:  # only nonzero terms count: an exact zero of another photon number passes
+        sizes = {len(occ) for occ, a in terms.items() if a != 0}
+        if len(sizes) > 1:
+            raise ValueError(f"inhomogeneous photon numbers: {sorted(sizes)}")
     return {occ: a for occ, a in terms.items() if abs(a) > PRUNE_EPS}
 
 
@@ -374,7 +377,8 @@ def postselect(
     Returns the renormalized conditional state and the pre-normalization
     probability (squared Fock norm of the selected component), normalizing
     once.  Probability 0 with an empty state signals an empty result; it is
-    not an error.
+    not an error.  The pipeline does not call it: :func:`_detect` selects
+    and normalizes in its own pass, to the same bits.
     """
     wanted = set(detector_paths)
     kept: dict[Occupation, complex] = {}
@@ -397,6 +401,8 @@ def _detect(m: LinearMap, state: PhotonicState, detector_paths: Iterable[str]) -
     paths or on an occupied one; the others are summed in ``apply``'s order.
     Every mode is still looked up, so UnsupportedMode is raised where
     ``apply`` raises it; a non-finite amplitude on a dropped term goes unseen.
+    Selection and normalization happen here too: the sums are checked and
+    pruned once, then scaled with ``scale``'s arithmetic into one state.
     """
     wanted = frozenset(detector_paths)
     out: dict[Occupation, complex] = {}
@@ -411,7 +417,15 @@ def _detect(m: LinearMap, state: PhotonicState, detector_paths: Iterable[str]) -
         for modes, _, a in partial:
             key = _canonical(modes)
             out[key] = out.get(key, 0.0) + a
-    return postselect(PhotonicState._trusted(out), wanted)
+    # a kept term's photons sit on distinct detector paths: it is selected when it fills them all
+    kept = {occ: a for occ, a in _checked(out).items() if len(occ) == len(wanted)}
+    if not kept:
+        return PhotonicState({}), 0.0
+    prob = sum(abs(a) ** 2 for a in kept.values())
+    factor = 1.0 / math.sqrt(prob)
+    detected = object.__new__(PhotonicState)  # finite and homogeneous: kept passed _checked
+    detected._terms = {occ: b for occ, a in kept.items() if abs(b := a * factor) > PRUNE_EPS}
+    return detected, prob
 
 
 def inner(s1: PhotonicState, s2: PhotonicState) -> complex:

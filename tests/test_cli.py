@@ -240,6 +240,11 @@ FRACTIONAL_BASIS = {
         (["hom"], {"spectral": {"dip": {"width_m": -1}}}, "width must be positive: width=-1"),
         (["hom"], {"spectral": {"sigma_f_hz": -1}}, "sigma_f must be positive: sigma_f=-1"),
         (["counts"], dict(RATES, singles=dict(RATES["singles"], A=-1)), "counts must be non-negative: singles[A]=-1"),
+        (["simulate"], {"pipeline": {"overlap": 1.5}}, "overlap must lie in [0, 1]: overlap=1.5"),
+        (["simulate"], {"pipeline": {"mirrors": {"d": -1}}}, "mirror counts must be non-negative: mirrors[d]=-1"),
+        (["counts"], dict(RATES, tau_int_s=-1), "rep_rate and tau_int must be positive: tau_int=-1"),
+        (["counts"], dict(RATES, eta=1.5), "eta must lie in (0, 1]: eta=1.5"),
+        (["counts"], dict(RATES, pair_rate_hz=-1), "pair_rate must be non-negative: pair_rate=-1"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

@@ -7,6 +7,7 @@ pipeline_oracle.py, which shares no code with the package.
 
 import collections
 import functools
+import hashlib
 import itertools
 import math
 import re
@@ -372,6 +373,32 @@ def test_combo_source_is_the_product_of_its_pair_terms():
             ]
             combo = experiment._combo(tags, kinds)
             assert repr(list(combo._terms.items())) == repr(list(tensor(*pairs)._terms.items()))
+
+
+# sha256 of the classify_terms verdicts of the 1024 cached configs, recorded
+# when every combo state and pair term was still built per config
+CLASSIFICATION_DIGEST = "d1177d4bd9df3f857e02fc1d66c203e0ac21afc2d3a2f66274c29c87d754e17c"
+
+
+def test_combo_states_and_pair_terms_are_built_once():
+    for kinds in itertools.product(experiment.TERM_KINDS, repeat=2):
+        for tags in (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS):
+            combo = experiment._combo(tags, kinds)
+            assert experiment._combo(tags, kinds) is combo
+            assert exact((experiment._combo.__wrapped__(tags, kinds), 1.0)) == exact((combo, 1.0))
+    for kind in experiment.PAIR_ELLS:
+        for paths in (experiment.SOURCE1_PATHS, experiment.SOURCE2_PATHS):
+            for tag in experiment.RUN_TAGS:
+                term = experiment._pair_term(kind, paths, tag)
+                assert experiment._pair_term(kind, paths, tag) is term
+                assert experiment._pair_term.__wrapped__(kind, paths, tag) == term
+    # spdc_state takes its paths as any sequence
+    amps = SourceAmplitudes.from_ratios(1.7, 2.0)
+    assert exact((spdc_state(["A", "B"], amps, 1, True), 1.0)) == exact((spdc_state(("A", "B"), amps, 1, True), 1.0))
+    digest = hashlib.sha256()
+    for cfg in every_mirror_and_sorter_config():
+        digest.update(repr(classify_terms(cfg).combos).encode())
+    assert digest.hexdigest() == CLASSIFICATION_DIGEST
 
 
 def test_classify_terms_runs_each_combo_once_per_tag_set(monkeypatch):

@@ -13,7 +13,9 @@ that remains.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +117,20 @@ def test_classification_independent_of_earlier_configs():
     assert after != default
     cfg = fresh("default")
     assert classify_terms(cfg) == classify_terms(cfg) == default
+
+
+# sha256 of the repr of each ``state_sweep`` benchmark job's outputs, one per
+# line, for jobs 0-40 at seed 5: every bit of the generation half's results
+STATE_SWEEP_DIGEST = "01e3794cc6a9e3ce3939b133a8c7f97ff08ced63de47a97a524add2d0f00c395"
+
+
+def test_state_sweep_outputs_bit_identical():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sweep = workloads.WORKLOADS["state_sweep"](None)
+    digest = hashlib.sha256()
+    for i in range(41):
+        digest.update(repr(sweep.run(sweep.spec(5, i))).encode() + b"\n")
+    assert digest.hexdigest() == STATE_SWEEP_DIGEST

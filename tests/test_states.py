@@ -3,6 +3,7 @@
 import cmath
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,21 @@ def test_operation_outputs_keep_the_constructor_checks():
 def test_tiny_term_with_another_photon_number_still_raises():
     with pytest.raises(ValueError, match="inhomogeneous"):
         PhotonicState({(A0,): 1.0, (A0, B1): PRUNE_EPS / 2})
+
+
+def test_homogeneity_counts_the_nonzero_terms_only():
+    # equal lengths pass without looking at the amplitudes; mixed ones fall
+    # back to the rule on nonzero terms, at any magnitude
+    with pytest.raises(ValueError, match=re.escape("inhomogeneous photon numbers: [1, 2]")):
+        PhotonicState({(A0,): 1.0, (A0, B1): 1e-300})
+    with pytest.raises(ValueError, match=re.escape("inhomogeneous photon numbers: [1, 2]")):
+        ghz3d.states._checked({(A0,): 1.0, (A0, B1): 1e-300j})
+    exact_zero = PhotonicState({(A0,): 1.0, (A0, B1): 0.0})
+    assert exact_zero == PhotonicState.single(A0) and exact_zero.num_terms == 1
+    assert ghz3d.states._checked({(A0,): 1.0, (A0, B1): 0j, (A1,): 0.5}) == {(A0,): 1.0, (A1,): 0.5}
+    for bad in (math.nan, complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match=re.escape(f"on occupation {(A0, B1)}")):
+            PhotonicState({(A0,): 1.0, (A0, B1): bad})
 
 
 def test_apply_raises_on_nan_coefficient():
