@@ -1,14 +1,20 @@
-"""Numerically hot kernels, vectorized in numpy.
+"""Numerically hot kernels.
 
-The two kernels that dominate runtime are the local-realistic enumeration
-over 3^9 value assignments (exact integer arithmetic) and the accumulation
-sums of the four-frequency quadrature for the four-photon dip model.  Both
-run their reductions in a fixed order, so results are deterministic.
+The local-realistic enumeration over the 3^9 value assignments runs in
+exact integer arithmetic with no numpy: a shift symmetry of the nine Mermin
+terms splits the assignments into 3^7 classes of nine with one value each,
+and one representative per class is scanned.  The accumulation sums of the
+four-frequency quadrature for the four-photon dip model take numpy arrays.
+Both run their reductions in a fixed order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # --- local-realistic enumeration ------------------------------------------
 #
@@ -33,23 +39,71 @@ LR_TERMS = (
 
 N_ASSIGNMENTS = 3**9
 
+# Adding t to every X slot and -t to every Y slot, or s to every X slot and
+# -s to every W slot, moves each term's exponent by a multiple of 3 when the
+# term holds three slots of one observable or one each of X, Y and W.  So an
+# assignment's class {X + t + s, Y - t, W - s} has nine members of one value,
+# and exactly one member with X1 = Y1 = 0: the class representative.
 
-def lr_scan() -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) integer coordinates of S = a + b*omega for all 3^9 assignments.
+#: slots of a representative's free trits, least significant first; index r
+#: of a representative is its base-3 number over these trits, so the
+#: representatives run in the index order of their assignments
+FREE_SLOTS = (1, 2, 4, 5, 6, 7, 8)
+N_REPRESENTATIVES = 3 ** len(FREE_SLOTS)
+CLASS_SIZE = N_ASSIGNMENTS // N_REPRESENTATIVES
 
-    Index i encodes the assignment base-3, least-significant slot first.
-    Integer arithmetic throughout; no floating point touches the sum.
+# a + 1 and b + 1 of omega^e = a + b*omega for e in [0, 8], one byte each:
+# omega^0 = 1, omega^1 = omega, omega^2 = -1 - omega
+_A_PLUS_1 = bytes((2, 1, 0) * 3).ljust(256, b"\0")
+_B_PLUS_1 = bytes((1, 2, 0) * 3).ljust(256, b"\0")
+
+
+def _check_shift_invariant(terms) -> None:
+    """Raise ValueError unless every term counts X, Y and W slots equally mod 3,
+    the condition for the class shifts to leave its exponent unchanged."""
+    for pre, *slots in terms:
+        n = [0, 0, 0]
+        for slot in slots:
+            n[slot // 3] += 1
+        if (n[0] - n[1]) % 3 or (n[0] - n[2]) % 3:
+            raise ValueError(f"LR term {(pre, *slots)} is not invariant under the X/Y/W class shifts")
+
+
+def lr_scan() -> tuple[list[int], list[int]]:
+    """(a, b) integer coordinates of S = a + b*omega for the 3^7 class
+    representatives of the 3^9 assignments, in representative index order.
+
+    Each representative's value is the value of its nine class members.  The
+    scan packs one byte per representative into a Python int, so the three
+    slot trits of a term add for all representatives at once, and a byte
+    table maps each exponent to its omega power.  Integer arithmetic
+    throughout; no floating point touches the sum.
     """
-    idx = np.arange(N_ASSIGNMENTS, dtype=np.int64)
-    trits = np.empty((9, N_ASSIGNMENTS), dtype=np.int64)
-    for j in range(9):
-        trits[j] = (idx // 3**j) % 3
-    counts = np.zeros((3, N_ASSIGNMENTS), dtype=np.int64)
-    for pre, i1, i2, i3 in LR_TERMS:
-        e = (pre + trits[i1] + trits[i2] + trits[i3]) % 3
-        for r in range(3):
-            counts[r] += e == r
-    return counts[0] - counts[2], counts[1] - counts[2]
+    terms = LR_TERMS
+    _check_shift_invariant(terms)
+    n = N_REPRESENTATIVES
+    cols = [0] * 9  # X1 and Y1 are 0 in every representative
+    for pos, slot in enumerate(FREE_SLOTS):  # the trit at 3**pos: runs of 3**pos zeros, ones, twos
+        run = 3**pos
+        cols[slot] = int.from_bytes((b"\0" * run + b"\1" * run + b"\2" * run) * (n // (3 * run)), "little")
+    ones = int.from_bytes(b"\1" * n, "little")
+    a = b = 0
+    for pre, i1, i2, i3 in terms:
+        # one byte per representative, the term's exponent before mod 3, at most 8
+        e = (pre * ones + cols[i1] + cols[i2] + cols[i3]).to_bytes(n, "little")
+        a += int.from_bytes(e.translate(_A_PLUS_1), "little")
+        b += int.from_bytes(e.translate(_B_PLUS_1), "little")
+    k = len(terms)  # the byte sums lie in [0, 2k], so no byte carries
+    return [v - k for v in a.to_bytes(n, "little")], [v - k for v in b.to_bytes(n, "little")]
+
+
+def lr_walk() -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(representative index, trits) of every assignment, in index order."""
+    for w3, w2, w1, y3, y2, y1, x3, x2, x1 in itertools.product(range(3), repeat=9):
+        u = x1 + y1  # the shift t = y1, s = -x1 - y1 takes X1 and Y1 to 0
+        r = (x2 - x1) % 3 + 3 * ((x3 - x1) % 3) + 9 * ((y2 - y1) % 3) + 27 * ((y3 - y1) % 3)
+        r += 81 * ((w1 + u) % 3) + 243 * ((w2 + u) % 3) + 729 * ((w3 + u) % 3)
+        yield r, (x1, x2, x3, y1, y2, y3, w1, w2, w3)
 
 
 # --- four-photon quadrature sums -------------------------------------------
@@ -66,7 +120,7 @@ def p4_sums(weights: np.ndarray, phi: np.ndarray, phase: np.ndarray) -> tuple[fl
     delay phase factors exp(-i omega_i dT).
     """
     wphi = weights[:, None] * phi
-    i2 = float(np.sum(wphi * phi * weights[None, :]))
+    i2 = float((wphi * phi * weights[None, :]).sum())
     h = ((weights * phase)[:, None] * phi).T @ phi
     cross = float(((h.real**2 + h.imag**2) @ weights) @ weights)
     return i2, cross

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .experiment import PipelineConfig, SourceAmplitudes
     from .spectral import SpectralModel
     from .states import PhotonicState
-    from .tomography import NoiseParams
+    from ._checks import NoiseParams
 
 DEFAULT_SEED = 333  # documented fixed default; three levels, three photons
 
@@ -220,12 +220,12 @@ def spectral_model_from(cfg: Mapping[str, Any]) -> SpectralModel:
 
 
 def noise_params_from(cfg: Mapping[str, Any]) -> NoiseParams:
-    from . import tomography
+    from ._checks import NoiseParams
 
-    base = tomography.NoiseParams.table1()
+    base = NoiseParams.table1()
     try:
         n = _Section(cfg.get("noise", {}), "noise", ("p", "c", "weights"))
-        return tomography.NoiseParams(
+        return NoiseParams(
             p=n.get("p", float, base.p),
             c=n.get("c", float, base.c),
             weights=tuple(n.numbers("weights", list, base.weights).values()),
@@ -358,13 +358,10 @@ def cmd_witness(cfg: dict, out: Path, seed: int, events: int) -> int:
 
 
 def cmd_mermin(cfg: dict, out: Path) -> int:
-    from . import contradiction, tomography
+    from . import contradiction
 
     noise = noise_params_from(cfg)
-    ops = contradiction.build_operators()
-    operator = contradiction.mermin_operator(ops)
-    _, rho_ghz = tomography.ideal_ghz()
-    quantum = contradiction.quantum_expectation(operator, rho_ghz)
+    quantum = contradiction.ghz_expectation(contradiction.operator_entries())
     enum = contradiction.lr_enumerate()
     dump_json(
         {

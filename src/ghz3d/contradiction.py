@@ -13,26 +13,36 @@ balanced GHZ state as an eigenstate (a concurrent set); the weighted sum
 
 reaches expectation 9 on the GHZ state, while an exact enumeration of all
 3^9 = 19683 local-realistic value assignments, carried out in the ring
-Z[omega] with integer arithmetic only, never exceeds modulus 6.
+Z[omega] with integer arithmetic only, never exceeds modulus 6.  Adding t
+to each X value and -t to each Y value, or s to each X and -s to each W
+value, leaves all nine terms unchanged, so the enumeration sums one member
+of each of the 3^7 nine-member classes and so covers all 3^9 assignments.
+Since the GHZ state is (|000> + |111> + |222>)/sqrt(3), the quantum value
+and the concurrent-set check need only the 3x3 entries of the observables.
 
 The input-free constants are built once per process and shared read-only:
-the operator set of :func:`build_operators` (its concurrent-set check runs
-on that one build), the Mermin operator of each set, the product
-eigenbases of :func:`measurement_protocol` and the :func:`lr_enumerate`
-result.  Their arrays are read-only, so writing into one raises ValueError.
+the operator entries (their concurrent-set check runs on that one build),
+the arrays :func:`build_operators` makes of them, the Mermin operator of
+each set, the product eigenbases of :func:`measurement_protocol` and the
+:func:`lr_enumerate` result.  Their arrays are read-only, so writing into
+one raises ValueError.  Only the functions that take or return arrays
+import numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
-from .tomography import HILBERT, NoiseParams, ideal_ghz, noise_model
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ._checks import NoiseParams
 
 OMEGA = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
 
@@ -112,8 +122,9 @@ class Assignment:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """The local observables, compared and hashed by identity (their arrays
-    have no single-valued equality)."""
+    """The local observables as 3x3 matrices, indexed ``m[i][j]``: tuples of
+    complex entries or read-only arrays.  Compared and hashed by identity
+    (arrays have no single-valued equality)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -124,17 +135,19 @@ class OperatorSet:
         return {"X": self.x, "Y": self.y, "W": self.w, "Z": self.z}[name]
 
 
-def _shift() -> np.ndarray:
-    x = np.zeros((3, 3), dtype=complex)
-    for t in range(3):
-        x[(t + 1) % 3, t] = 1.0
-    return x
+def _z_phases(power_third: int) -> list[complex]:
+    """Diagonal of the principal branch of Z^(power_third/3): omega^{t p/3}."""
+    return [cmath.exp(2j * math.pi * t * (power_third / 3.0) / 3.0) for t in range(3)]
 
 
 def _z_fractional(power_third: int) -> np.ndarray:
-    """Principal branch of Z^(power_third/3): diag phases omega^{t p/3}."""
-    phases = [np.exp(2j * np.pi * t * (power_third / 3.0) / 3.0) for t in range(3)]
-    return np.diag(phases)
+    import numpy as np
+
+    return np.diag(_z_phases(power_third))
+
+
+#: the balanced GHZ state (|000> + |111> + |222>)/sqrt(3) as 27 amplitudes
+GHZ_VECTOR = tuple(1 / math.sqrt(3) if i in (0, 13, 26) else 0.0 for i in range(27))
 
 
 CONCURRENT_TABLE: tuple[tuple[str, int], ...] = (
@@ -151,48 +164,85 @@ CONCURRENT_TABLE: tuple[tuple[str, int], ...] = (
 
 
 @functools.cache
-def build_operators() -> OperatorSet:
-    """X, Y, W, Z on the principal fractional-power branch, checked against the
-    concurrent set (NotEigenstate if a product fails; branches 1, 2 never pass).
+def operator_entries() -> OperatorSet:
+    """X, Y, W, Z on the principal fractional-power branch as tuples of 3x3
+    complex entries, checked against the concurrent set (NotEigenstate if a
+    product fails; branches 1, 2 never pass).
 
-    Built and checked once per process; the arrays are read-only.
+    Y = Z^{1/3} X Z^{-1/3} has the entries phase_i X_ij conj(phase_j), W
+    likewise with Z^{2/3}.  Built and checked once per process.
     """
-    x = _shift()
-    z = np.diag([OMEGA**t for t in range(3)])
-    z13 = _z_fractional(1)
-    z23 = _z_fractional(2)
-    y, w = z13 @ x @ z13.conj().T, z23 @ x @ z23.conj().T
-    for a in (x, y, w, z):
-        a.flags.writeable = False
-    ops = OperatorSet(x=x, y=y, w=w, z=z)
-    concurrent_set_check(ops, ideal_ghz()[0])
+    x = tuple(tuple(1 + 0j if i == (j + 1) % 3 else 0j for j in range(3)) for i in range(3))
+
+    def conjugated(phases: list[complex]) -> tuple[tuple[complex, ...], ...]:
+        return tuple(
+            tuple(phases[i] * phases[j].conjugate() if x[i][j] else 0j for j in range(3)) for i in range(3)
+        )
+
+    z = tuple(tuple(OMEGA**i if i == j else 0j for j in range(3)) for i in range(3))
+    ops = OperatorSet(x=x, y=conjugated(_z_phases(1)), w=conjugated(_z_phases(2)), z=z)
+    concurrent_set_check(ops, GHZ_VECTOR)
     return ops
 
 
+@functools.cache
+def build_operators() -> OperatorSet:
+    """The :func:`operator_entries` as read-only complex arrays, built once per process."""
+    import numpy as np
+
+    entries = operator_entries()
+    arrays = [np.array(entries.by_name(name), dtype=complex) for name in "XYWZ"]
+    for a in arrays:
+        a.flags.writeable = False
+    return OperatorSet(*arrays)
+
+
 def _three_body(ops: OperatorSet, names: str) -> np.ndarray:
+    import numpy as np
+
     m = ops.by_name(names[0])
     for ch in names[1:]:
         m = np.kron(m, ops.by_name(ch))
     return m
 
 
-def concurrent_set_check(ops: OperatorSet, ghz: np.ndarray) -> dict[str, complex]:
-    """Verify each listed product has the GHZ state as eigenstate.
+def concurrent_set_check(ops: OperatorSet, ghz: Sequence[complex]) -> dict[str, complex]:
+    """Verify each listed product has the 27-amplitude state ``ghz`` as eigenstate.
 
     Returns the product -> eigenvalue table; raises NotEigenstate when a
     residual exceeds 1e-10 or an eigenvalue is off the expected table by more.
+    Runs on entries or arrays alike; the image sums over the nonzero
+    amplitudes of ``ghz`` only.
     """
+    support = [(u // 9, u // 3 % 3, u % 3, complex(ghz[u])) for u in range(27) if ghz[u]]
     out: dict[str, complex] = {}
     for names, exponent in CONCURRENT_TABLE:
-        op = _three_body(ops, names)
-        image = op @ ghz
-        lam = complex(ghz.conj() @ image)
-        if np.linalg.norm(image - lam * ghz) > 1e-10:
+        a, b, c = (ops.by_name(n) for n in names)
+        # (A (x) B (x) C)|ghz>, component 9i + 3j + k
+        image = [
+            sum(a[i][l] * b[j][m] * c[k][n] * g for l, m, n, g in support)
+            for i in range(3)
+            for j in range(3)
+            for k in range(3)
+        ]
+        lam = complex(sum(complex(ghz[u]).conjugate() * image[u] for u in range(27)))
+        if math.sqrt(sum(abs(image[u] - lam * ghz[u]) ** 2 for u in range(27))) > 1e-10:
             raise NotEigenstate(f"{names}: GHZ is not an eigenstate")
         if abs(lam - OMEGA**exponent) > 1e-10:
             raise NotEigenstate(f"{names}: eigenvalue {lam} != omega^{exponent}")
         out[names] = lam
     return out
+
+
+def ghz_expectation(ops: OperatorSet) -> complex:
+    """<GHZ|O|GHZ> of the Mermin operator from 3x3 entries:
+    (1/3) sum over the nine products of omega^-e sum_ij A1_ij A2_ij A3_ij,
+    with e the product's eigenvalue exponent of :data:`CONCURRENT_TABLE`."""
+    total = 0j
+    for names, exponent in CONCURRENT_TABLE:
+        a, b, c = (ops.by_name(n) for n in names)
+        total += OMEGA ** (-exponent) * sum(a[i][j] * b[i][j] * c[i][j] for i in range(3) for j in range(3))
+    return total / 3
 
 
 @functools.lru_cache(maxsize=4)
@@ -212,6 +262,8 @@ def mermin_operator(ops: OperatorSet) -> np.ndarray:
 
 def quantum_expectation(operator: np.ndarray, rho: np.ndarray) -> complex:
     """Tr(rho O)."""
+    import numpy as np
+
     return complex(np.trace(np.asarray(rho, dtype=complex) @ operator))
 
 
@@ -227,7 +279,9 @@ class LREnumeration:
 
     @property
     def max_modulus(self) -> float:
-        return math.isqrt(self.max_modulus_sq) if math.isqrt(self.max_modulus_sq) ** 2 == self.max_modulus_sq else math.sqrt(self.max_modulus_sq)
+        """The int square root when it is exact (6 for the Mermin sum), else a float."""
+        root = math.isqrt(self.max_modulus_sq)
+        return root if root * root == self.max_modulus_sq else math.sqrt(self.max_modulus_sq)
 
     @property
     def max_real(self) -> float:
@@ -236,34 +290,33 @@ class LREnumeration:
 
 @functools.cache
 def lr_enumerate() -> LREnumeration:
-    """Scan all 3^9 assignments of the nine local observables exactly, once
+    """Cover all 3^9 assignments of the nine local observables exactly, once
     per process (the result is immutable).
 
-    The sum lives in Z[omega]; the scan works on integer pairs (a, b) and
-    the distinct-value set uses exact CyclotomicInt equality.  At most the
-    first 32 maximizing assignments are materialized.
+    The sum lives in Z[omega]; the scan works on the integer pairs (a, b) of
+    one representative per nine-member shift class, whose members share its
+    value, and the distinct-value set uses exact CyclotomicInt equality.  At
+    most the first 32 maximizing assignments in index order are
+    materialized, by a walk over the assignments that stops at the 32nd.
     """
     a, b = _kernels.lr_scan()
-    norm_sq = a * a - a * b + b * b
-    max_ns = int(norm_sq.max())
-    max_re2 = int((2 * a - b).max())
-    # nine omega powers put a and b in [-9, 9]: code each pair as one integer
-    # in [0, 361); the occupied bins are the sorted distinct codes
-    codes = np.flatnonzero(np.bincount((a + 9) * 19 + (b + 9)))
     distinct = tuple(
-        sorted(
-            (CyclotomicInt(int(c) // 19 - 9, int(c) % 19 - 9) for c in codes),
-            key=lambda z: (z.norm_sq(), z.a, z.b),
-        )
+        sorted((CyclotomicInt(x, y) for x, y in set(zip(a, b))), key=lambda z: (z.norm_sq(), z.a, z.b))
     )
-    (argmax_idx,) = np.nonzero(norm_sq == max_ns)
-    argmax = tuple(Assignment.from_index(int(i)) for i in argmax_idx[:32])
+    max_ns = distinct[-1].norm_sq()
+    top = {(z.a, z.b) for z in distinct if z.norm_sq() == max_ns}
+    argmax: list[Assignment] = []
+    for r, trits in _kernels.lr_walk():
+        if (a[r], b[r]) in top:
+            argmax.append(Assignment(trits))
+            if len(argmax) == 32:
+                break
     return LREnumeration(
-        count=int(a.shape[0]),
+        count=_kernels.CLASS_SIZE * len(a),
         max_modulus_sq=max_ns,
-        max_real_doubled=max_re2,
+        max_real_doubled=max(2 * z.a - z.b for z in distinct),
         distinct_values=distinct,
-        argmax=argmax,
+        argmax=tuple(argmax),
     )
 
 
@@ -281,6 +334,8 @@ def noise_expectation(params: NoiseParams) -> float:
 
 def noise_expectation_matrix(params: NoiseParams) -> complex:
     """Tr(noise_model(params) * O), the cross-check route."""
+    from .tomography import noise_model
+
     return quantum_expectation(mermin_operator(build_operators()), noise_model(params))
 
 
@@ -297,6 +352,10 @@ def measurement_protocol(
     ``ops`` does not change the result, since the eigenbases are fixed; the
     parameter stays because callers pass it positionally.
     """
+    import numpy as np
+
+    from .tomography import HILBERT
+
     if isinstance(settings, str):
         settings = tuple(settings)
     if len(settings) != 3 or any(s not in SETTINGS for s in settings):
@@ -312,6 +371,8 @@ def measurement_protocol(
 @functools.lru_cache(maxsize=32)
 def _product_eigenbasis(settings: tuple[str, str, str]) -> np.ndarray:
     """Read-only kron of the three parties' eigenbases, kept per setting choice."""
+    import numpy as np
+
     # eigenvector matrix of X: columns |chi_k> with X|chi_k> = omega^k |chi_k>
     chi = np.array(
         [[OMEGA ** (-(k * t)) / math.sqrt(3) for k in range(3)] for t in range(3)]

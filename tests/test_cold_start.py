@@ -16,7 +16,7 @@ import pytest
 import ghz3d
 
 from test_cli import RATES
-from test_golden import ARTIFACTS, GOLDEN, _sha256
+from test_golden import ARTIFACTS, GOLDEN, MERMIN_NOISE, _sha256
 
 SRC = Path(ghz3d.__file__).parents[1]
 PIPELINE = {"ghz3d.states", "ghz3d.elements", "ghz3d.experiment"}
@@ -26,7 +26,7 @@ NOT_LOADED = {
     "counts": {"numpy", *PIPELINE, "ghz3d.tomography", "ghz3d.spectral"},
     "hom": {"ghz3d.states", "ghz3d.experiment", "ghz3d.tomography"},
     "witness": PIPELINE,
-    "mermin": PIPELINE,
+    "mermin": {"numpy", *PIPELINE, "ghz3d.tomography"},
     "simulate": {"numpy", "ghz3d.tomography", "ghz3d.spectral"},
 }
 
@@ -127,3 +127,14 @@ def test_subcommand_imports_only_what_it_runs(command, tmp_path):
     else:
         golden = ARTIFACTS[command]
     assert {name: _sha256(out / name) for name in golden} == golden
+
+
+def test_mermin_with_a_noise_config_imports_no_numpy(tmp_path):
+    # the config reader builds the noise parameters, which tomography re-exports
+    cfg, digest = MERMIN_NOISE["skewed_weights"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    loaded = _fresh_modules(RUN_CLI, "mermin", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert "ghz3d.contradiction" in loaded
+    assert not loaded & NOT_LOADED["mermin"]
+    assert _sha256(tmp_path / "out" / "mermin.json") == digest

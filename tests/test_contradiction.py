@@ -158,18 +158,17 @@ def test_argmax_assignments_reach_maximum(enumeration):
 
 
 def test_enumeration_matches_pure_python_oracle(enumeration):
-    # independent route: CyclotomicInt sums over every assignment
-    values = set()
-    max_ns = 0
-    count = 0
-    for trits in itertools.product((0, 1, 2), repeat=9):
-        s = ct.Assignment(trits).mermin_sum()
-        values.add((s.a, s.b))
-        max_ns = max(max_ns, s.norm_sq())
-        count += 1
-    assert count == enumeration.count
+    # independent route: CyclotomicInt sums over every assignment, with no
+    # shift classes; Assignment.from_index orders them as the enumeration does
+    sums = [ct.Assignment.from_index(i).mermin_sum() for i in range(3**9)]
+    assert {ct.Assignment.from_index(i).trits for i in range(3**9)} == set(itertools.product((0, 1, 2), repeat=9))
+    max_ns = max(s.norm_sq() for s in sums)
+    assert len(sums) == enumeration.count
     assert max_ns == enumeration.max_modulus_sq
-    assert values == {(z.a, z.b) for z in enumeration.distinct_values}
+    assert max(2 * s.a - s.b for s in sums) == enumeration.max_real_doubled == 12
+    assert {(s.a, s.b) for s in sums} == {(z.a, z.b) for z in enumeration.distinct_values}
+    first = [ct.Assignment.from_index(i) for i, s in enumerate(sums) if s.norm_sq() == max_ns][:32]
+    assert list(enumeration.argmax) == first and len(first) == 32
 
 
 def test_quantum_value_exceeds_every_lr_value(enumeration, ops, ghz_pair):
@@ -299,14 +298,33 @@ def test_assignment_accessor_layout():
 
 def test_operator_set_is_built_and_checked_once_and_read_only(ops, monkeypatch):
     assert ct.build_operators() is ops
+    entries = ct.operator_entries()
     checks = []
     monkeypatch.setattr(ct, "concurrent_set_check", lambda o, ghz: checks.append(o))
-    fresh = ct.build_operators.__wrapped__()
-    assert len(checks) == 1  # a build runs the concurrent-set check
+    fresh = ct.operator_entries.__wrapped__()
+    assert len(checks) == 1  # a build of the entries runs the concurrent-set check
+    assert ct.build_operators.__wrapped__().x is not ops.x and len(checks) == 1  # the arrays reuse it
     for name in ("X", "Y", "W", "Z"):
-        assert np.array_equal(ops.by_name(name), fresh.by_name(name))
+        assert fresh.by_name(name) == entries.by_name(name)
+        assert np.array_equal(ops.by_name(name), entries.by_name(name))
         with pytest.raises(ValueError, match="read-only"):
             ops.by_name(name)[0, 0] = 0.0
+
+
+def test_concurrent_set_check_runs_on_entries():
+    table = ct.concurrent_set_check(ct.operator_entries(), ct.GHZ_VECTOR)
+    assert list(table) == [names for names, _ in ct.CONCURRENT_TABLE]
+    for names, exponent in ct.CONCURRENT_TABLE:
+        assert type(table[names]) is complex and abs(table[names] - OMEGA**exponent) < 1e-12
+    with pytest.raises(ct.NotEigenstate, match="XXX"):  # X maps |222> to |000>
+        ct.concurrent_set_check(ct.operator_entries(), (0.0,) * 26 + (1.0,))
+
+
+def test_ghz_expectation_from_entries_matches_the_trace(ops, ghz_pair):
+    _, rho = ghz_pair
+    quantum = ct.ghz_expectation(ct.operator_entries())
+    assert type(quantum) is complex and abs(quantum - 9.0) < 1e-12
+    assert abs(quantum - ct.quantum_expectation(ct.mermin_operator(ops), rho)) < 1e-12
 
 
 def test_mermin_operator_is_built_once_per_set_and_read_only(ops):

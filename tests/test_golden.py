@@ -9,7 +9,9 @@ last bits; ``state.json`` and ``report.json`` hold because the artifacts
 carry 12 significant digits.  The digests of the other four subcommands
 were recorded from the implementation that still carried a second, jitted
 backend for the LR scan and the P4 sums; the numpy path they ran is the one
-that remains.
+that remains.  The ``mermin.json`` digests of the non-default noise sections
+were recorded from the implementation that scanned all 3^9 assignments in
+numpy and took the quantum value as a 27x27 trace.
 """
 
 import hashlib
@@ -49,6 +51,19 @@ ARTIFACTS = {
     },
     "hom": {"dip.csv": "20c2fba866a54e445823549204feeac6ebdf33635a29069d96bb03f2e4c1c216"},
     "counts": {"counts.json": "7d3a460967f78462147516e39d90d54013770ac08f2cd8a909b36bea6c5876e6"},
+}
+
+# sha256 of ``mermin.json`` for noise sections other than the default: one
+# near the Table 1 estimates and one with strongly skewed GHZ weights
+MERMIN_NOISE = {
+    "near_table1": (
+        {"noise": {"p": 0.9, "c": 0.8, "weights": [0.7, 0.59, 0.49]}},
+        "ea9df12645080fd890f88565cae1892accfecf0eebf4e345635fda2db7149b0f",
+    ),
+    "skewed_weights": (
+        {"noise": {"p": 0.35, "c": 0.6, "weights": [1.0, 0.03, 0.25]}},
+        "c664447a7deadc2485dee4b4671c0e6a78bde1a9639573a81c16aa23c88fede0",
+    ),
 }
 
 # sha256 of (state.json, report.json)
@@ -102,6 +117,15 @@ def test_artifacts_byte_identical(command, tmp_path):
     assert main(args) == 0
     got = {name: _sha256(tmp_path / "out" / name) for name in ARTIFACTS[command]}
     assert got == ARTIFACTS[command]
+
+
+@pytest.mark.parametrize("name", sorted(MERMIN_NOISE))
+def test_mermin_noise_configs_byte_identical(name, tmp_path):
+    cfg, digest = MERMIN_NOISE[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["mermin", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert _sha256(tmp_path / "out" / "mermin.json") == digest
 
 
 def test_classification_independent_of_earlier_configs():

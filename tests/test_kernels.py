@@ -1,15 +1,45 @@
-"""Hot kernels: the LR scan's layout and dtype, the P4 sums against loops."""
+"""Hot kernels: the LR scan's representative layout, the P4 sums against loops."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from ghz3d import _kernels as k
+from ghz3d.contradiction import Assignment
 
 
-def test_lr_scan_is_int64():
+def test_lr_scan_returns_plain_ints_per_class_representative():
     a, b = k.lr_scan()
-    assert a.dtype == np.int64 and b.dtype == np.int64
-    assert a.shape == b.shape == (3**9,)
+    assert type(a) is list and type(b) is list
+    assert len(a) == len(b) == k.N_REPRESENTATIVES == 3**7
+    assert all(type(v) is int for v in a + b)
+    # representative r has X1 = Y1 = 0 and its free trits are the base-3 digits of r
+    for r, free in enumerate(itertools.product(range(3), repeat=len(k.FREE_SLOTS))):
+        trits = [0] * 9
+        for slot, t in zip(k.FREE_SLOTS, reversed(free)):
+            trits[slot] = t
+        s = Assignment(tuple(trits)).mermin_sum()
+        assert (a[r], b[r]) == (s.a, s.b), trits
+
+
+def test_lr_walk_maps_every_assignment_to_its_class_representative():
+    a, b = k.lr_scan()
+    walked = list(k.lr_walk())
+    assert [t for _, t in walked] == [Assignment.from_index(i).trits for i in range(k.N_ASSIGNMENTS)]
+    members = {}
+    for r, trits in walked:
+        s = Assignment(trits).mermin_sum()
+        assert (a[r], b[r]) == (s.a, s.b), trits
+        members[r] = members.get(r, 0) + 1
+    assert members == dict.fromkeys(range(k.N_REPRESENTATIVES), k.CLASS_SIZE)
+
+
+def test_lr_scan_rejects_terms_without_the_shift_symmetry(monkeypatch):
+    # X1 X2 Y3 moves by 2t - t = t under X + t, Y - t
+    monkeypatch.setattr(k, "LR_TERMS", (*k.LR_TERMS[:-1], (2, 0, 1, 5)))
+    with pytest.raises(ValueError, match=r"LR term \(2, 0, 1, 5\)"):
+        k.lr_scan()
 
 
 def test_p4_sums_match_python_loops():
