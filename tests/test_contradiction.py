@@ -1,6 +1,7 @@
 """GHZ contradiction: operators, concurrent set, exact enumeration, noise."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -104,6 +105,12 @@ def test_mermin_operator_structure(ops):
     o = ct.mermin_operator(ops)
     assert abs(np.trace(o)) < 1e-12
     assert np.max(np.abs(np.diag(o))) < 1e-12
+
+
+def test_mermin_operator_bytes_are_pinned(ops):
+    # recorded before the operator was built from the concurrent-set table
+    digest = hashlib.sha256(ct.mermin_operator(ops).tobytes()).hexdigest()
+    assert digest == "21e78d33d5b45135162e1969cfee5a720c00d7f1e2601185130030dc567673e2"
 
 
 def test_mermin_zero_on_diagonal_states(ops):

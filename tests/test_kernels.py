@@ -62,6 +62,17 @@ def test_p4_sums_match_python_loops():
 
 
 def test_lr_terms_layout():
+    assert k.LR_TERMS == (
+        (0, 0, 1, 2),  # X1 X2 X3
+        (2, 3, 4, 5),  # w^-1 Y1 Y2 Y3
+        (1, 6, 7, 8),  # w^-2 W1 W2 W3
+        (2, 0, 4, 8),  # w^-1 X1 Y2 W3
+        (2, 0, 7, 5),  # w^-1 X1 W2 Y3
+        (2, 3, 1, 8),  # w^-1 Y1 X2 W3
+        (2, 3, 7, 2),  # w^-1 Y1 W2 X3
+        (2, 6, 1, 5),  # w^-1 W1 X2 Y3
+        (2, 6, 4, 2),  # w^-1 W1 Y2 X3
+    )
     # nine product terms over nine observable slots, prefactors in {0, 1, 2}
     assert len(k.LR_TERMS) == 9
     assert all(len(t) == 4 for t in k.LR_TERMS)
