@@ -1,40 +1,49 @@
 """Numerically hot kernels.
 
-The local-realistic enumeration over the 3^9 value assignments runs in
-exact integer arithmetic with no numpy: a shift symmetry of the nine Mermin
-terms splits the assignments into 3^7 classes of nine with one value each,
-and one representative per class is scanned.  The accumulation sums of the
+The nine Mermin terms are defined once, in :data:`CONCURRENT_TABLE`; the
+local-realistic enumeration reads its term layout, :data:`LR_TERMS`, off
+that table.  The enumeration over the 3^9 value assignments runs in exact
+integer arithmetic with no numpy: a shift symmetry of the nine terms splits
+the assignments into 3^7 classes of nine with one value each, and one
+representative per class is scanned.  The accumulation sums of the
 four-frequency quadrature for the four-photon dip model take numpy arrays.
 Both run their reductions in a fixed order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
+
+# --- the Mermin terms -------------------------------------------------------
+
+#: the nine three-body products of the generalized Mermin sum (a concurrent
+#: set) with the omega exponent e of their eigenvalue on the balanced GHZ
+#: state; the sum weights each product by omega^-e
+CONCURRENT_TABLE: tuple[tuple[str, int], ...] = (
+    ("XXX", 0),
+    ("YYY", 1),
+    ("WWW", 2),
+    ("XYW", 1),
+    ("XWY", 1),
+    ("YXW", 1),
+    ("YWX", 1),
+    ("WXY", 1),
+    ("WYX", 1),
+)
 
 # --- local-realistic enumeration ------------------------------------------
 #
 # Nine observable slots per assignment, laid out as
 # (X1, X2, X3, Y1, Y2, Y3, W1, W2, W3); each takes a trit exponent of
-# omega.  The generalized Mermin sum has nine product terms, each a pure
-# omega power: exponent = prefactor + sum of three slot trits (mod 3).
-# Prefactors: omega^0 for XXX, omega^-1 = omega^2 for YYY and the six
-# mixed terms, omega^-2 = omega^1 for WWW.
+# omega.  Each Mermin term is then a pure omega power:
+# exponent = prefactor + sum of three slot trits (mod 3), with prefactor -e.
 
-LR_TERMS = (
-    (0, 0, 1, 2),   # X1 X2 X3
-    (2, 3, 4, 5),   # w^-1 Y1 Y2 Y3
-    (1, 6, 7, 8),   # w^-2 W1 W2 W3
-    (2, 0, 4, 8),   # w^-1 X1 Y2 W3
-    (2, 0, 7, 5),   # w^-1 X1 W2 Y3
-    (2, 3, 1, 8),   # w^-1 Y1 X2 W3
-    (2, 3, 7, 2),   # w^-1 Y1 W2 X3
-    (2, 6, 1, 5),   # w^-1 W1 X2 Y3
-    (2, 6, 4, 2),   # w^-1 W1 Y2 X3
+#: (prefactor, slot of party 1, of party 2, of party 3) of each table term
+LR_TERMS = tuple(
+    ((-e) % 3, *(3 * "XYW".index(s) + party for party, s in enumerate(names))) for names, e in CONCURRENT_TABLE
 )
 
 N_ASSIGNMENTS = 3**9
@@ -95,15 +104,6 @@ def lr_scan() -> tuple[list[int], list[int]]:
         b += int.from_bytes(e.translate(_B_PLUS_1), "little")
     k = len(terms)  # the byte sums lie in [0, 2k], so no byte carries
     return [v - k for v in a.to_bytes(n, "little")], [v - k for v in b.to_bytes(n, "little")]
-
-
-def lr_walk() -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(representative index, trits) of every assignment, in index order."""
-    for w3, w2, w1, y3, y2, y1, x3, x2, x1 in itertools.product(range(3), repeat=9):
-        u = x1 + y1  # the shift t = y1, s = -x1 - y1 takes X1 and Y1 to 0
-        r = (x2 - x1) % 3 + 3 * ((x3 - x1) % 3) + 9 * ((y2 - y1) % 3) + 27 * ((y3 - y1) % 3)
-        r += 81 * ((w1 + u) % 3) + 243 * ((w2 + u) % 3) + 729 * ((w3 + u) % 3)
-        yield r, (x1, x2, x3, y1, y2, y3, w1, w2, w3)
 
 
 # --- four-photon quadrature sums -------------------------------------------

@@ -350,7 +350,7 @@ def cmd_witness(cfg: dict, out: Path, seed: int, events: int) -> int:
     )
     lines = ["projB,projC,projD,counts,duration_s"]
     lines += [
-        f"{r.descriptors[0]},{r.descriptors[1]},{r.descriptors[2]},{r.counts:.12g},{r.duration:.12g}"
+        f"{r.descriptors[0]},{r.descriptors[1]},{r.descriptors[2]},{r.counts:.12g},1"
         for r in records
     ]
     (out / "elements.csv").write_text("\n".join(lines) + "\n")

@@ -6,7 +6,8 @@ The local observables are the unitary (non-Hermitian) qutrit operators
     Y = Z^{1/3} X Z^{-1/3},  W = Z^{2/3} X Z^{-2/3},
 
 with eigenvalues {1, omega, omega^2}.  Nine three-body products share the
-balanced GHZ state as an eigenstate (a concurrent set); the weighted sum
+balanced GHZ state as an eigenstate (a concurrent set), each with eigenvalue
+omega^e; the sum weighting each by omega^-e
 
     O = XXX + w^-1 YYY + w^-2 WWW
         + w^-1 (XYW + XWY + YXW + YWX + WXY + WYX)
@@ -19,6 +20,10 @@ value, leaves all nine terms unchanged, so the enumeration sums one member
 of each of the 3^7 nine-member classes and so covers all 3^9 assignments.
 Since the GHZ state is (|000> + |111> + |222>)/sqrt(3), the quantum value
 and the concurrent-set check need only the 3x3 entries of the observables.
+The products and their exponents e are one table,
+:data:`~ghz3d._kernels.CONCURRENT_TABLE`: the operator, its GHZ
+expectation, the concurrent-set check and the enumeration's terms all read
+it.
 
 The input-free constants are built once per process and shared read-only:
 the operator entries (their concurrent-set check runs on that one build),
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
+from ._kernels import CONCURRENT_TABLE
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,19 +156,6 @@ def _z_fractional(power_third: int) -> np.ndarray:
 GHZ_VECTOR = tuple(1 / math.sqrt(3) if i in (0, 13, 26) else 0.0 for i in range(27))
 
 
-CONCURRENT_TABLE: tuple[tuple[str, int], ...] = (
-    ("XXX", 0),
-    ("YYY", 1),
-    ("WWW", 2),
-    ("XYW", 1),
-    ("XWY", 1),
-    ("YXW", 1),
-    ("YWX", 1),
-    ("WXY", 1),
-    ("WYX", 1),
-)  # (product, eigenvalue as omega exponent)
-
-
 @functools.cache
 def operator_entries() -> OperatorSet:
     """X, Y, W, Z on the principal fractional-power branch as tuples of 3x3
@@ -247,15 +240,17 @@ def ghz_expectation(ops: OperatorSet) -> complex:
 
 @functools.lru_cache(maxsize=4)
 def mermin_operator(ops: OperatorSet) -> np.ndarray:
-    """The 27x27 generalized Mermin operator; every summand is off-diagonal.
+    """The 27x27 generalized Mermin operator, the sum over
+    :data:`CONCURRENT_TABLE` of omega^-e times each product, in table order;
+    every summand is off-diagonal.
 
     Built once per operator set (the last few are kept) and read-only.
     """
-    o = _three_body(ops, "XXX").astype(complex)
-    o += OMEGA ** (-1) * _three_body(ops, "YYY")
-    o += OMEGA ** (-2) * _three_body(ops, "WWW")
-    for names in ("XYW", "XWY", "YXW", "YWX", "WXY", "WYX"):
-        o += OMEGA ** (-1) * _three_body(ops, names)
+    import numpy as np
+
+    o = np.zeros((27, 27), dtype=complex)
+    for names, exponent in CONCURRENT_TABLE:
+        o += OMEGA ** (-exponent) * _three_body(ops, names)
     o.flags.writeable = False
     return o
 
@@ -275,7 +270,6 @@ class LREnumeration:
     max_modulus_sq: int
     max_real_doubled: int
     distinct_values: tuple[CyclotomicInt, ...]
-    argmax: tuple[Assignment, ...]
 
     @property
     def max_modulus(self) -> float:
@@ -295,28 +289,19 @@ def lr_enumerate() -> LREnumeration:
 
     The sum lives in Z[omega]; the scan works on the integer pairs (a, b) of
     one representative per nine-member shift class, whose members share its
-    value, and the distinct-value set uses exact CyclotomicInt equality.  At
-    most the first 32 maximizing assignments in index order are
-    materialized, by a walk over the assignments that stops at the 32nd.
+    value, and the distinct-value set uses exact CyclotomicInt equality.
+    The scanned terms are :data:`~ghz3d._kernels.LR_TERMS`, derived from
+    :data:`CONCURRENT_TABLE`.
     """
     a, b = _kernels.lr_scan()
     distinct = tuple(
         sorted((CyclotomicInt(x, y) for x, y in set(zip(a, b))), key=lambda z: (z.norm_sq(), z.a, z.b))
     )
-    max_ns = distinct[-1].norm_sq()
-    top = {(z.a, z.b) for z in distinct if z.norm_sq() == max_ns}
-    argmax: list[Assignment] = []
-    for r, trits in _kernels.lr_walk():
-        if (a[r], b[r]) in top:
-            argmax.append(Assignment(trits))
-            if len(argmax) == 32:
-                break
     return LREnumeration(
         count=_kernels.CLASS_SIZE * len(a),
-        max_modulus_sq=max_ns,
+        max_modulus_sq=distinct[-1].norm_sq(),
         max_real_doubled=max(2 * z.a - z.b for z in distinct),
         distinct_values=distinct,
-        argmax=tuple(argmax),
     )
 
 

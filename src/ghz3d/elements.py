@@ -1,9 +1,10 @@
 """Factories for the linear-optical elements of the multi-port.
 
-Every factory returns a :class:`~ghz3d.states.LinearMap` on the paths and
-tags the caller chooses: it passes other paths unchanged and never implies
-identity on its own, where support and image cover the OAM window ``ELLS``
-(|l| <= ELL_MAX) but the reflection + SPP's l = -5, -4.  The default tag is 0.
+Every factory returns a :class:`~ghz3d.states.LinearMap` on the paths the
+caller chooses and on every tag either run gives a photon, ``RUN_TAGS``: it
+passes other paths unchanged and never implies identity on its own, where
+support and image cover the OAM window ``ELLS`` (|l| <= ELL_MAX) but the
+reflection + SPP's l = -5, -4.
 
 Conventions declared once, here:
 
@@ -16,7 +17,7 @@ Conventions declared once, here:
   physically sensible.
 
 The mirror, SPP, beam splitter and parity sorter maps depend only on their
-paths, tags (a tuple) and sorter convention, so each is built and checked
+paths and sorter convention, so each is built and checked
 once per process and shared from then on.
 """
 
@@ -38,8 +39,13 @@ from .states import (
     PhotonicState,
 )
 
-DEFAULT_TAGS = (0,)
 ELLS = tuple(range(-ELL_MAX, ELL_MAX + 1))  # the tracked OAM window
+
+#: per-source tags of the two runs: indistinguishable and distinguishable photons
+EQUAL_TAGS = (0, 0)
+DISTINCT_TAGS = (1, 2)
+#: every tag either run gives a photon; each element map covers them all
+RUN_TAGS = tuple(sorted({*EQUAL_TAGS, *DISTINCT_TAGS}))
 
 
 class NotUnitary(ValueError):
@@ -47,17 +53,17 @@ class NotUnitary(ValueError):
 
 
 @functools.lru_cache(maxsize=64)
-def mirror(path: str, tags: tuple[int, ...] = DEFAULT_TAGS) -> LinearMap:
+def mirror(path: str) -> LinearMap:
     """Reflection: flips the OAM sign on one path.  Involution."""
     entries = {}
     for ell in ELLS:
-        for t in tags:
+        for t in RUN_TAGS:
             entries[ModeLabel(path, ell, t)] = ((ModeLabel(path, -ell, t), 1.0),)
     return LinearMap(entries, unitary=True)
 
 
 @functools.lru_cache(maxsize=64)
-def spp_reflect(path: str, tags: tuple[int, ...] = DEFAULT_TAGS) -> LinearMap:
+def spp_reflect(path: str) -> LinearMap:
     """Reflection combined with a charge-2 spiral phase plate: l -> -l + 2.
 
     Supported on |l| <= ELL_MAX - 2 so the image stays inside the tracked
@@ -65,20 +71,20 @@ def spp_reflect(path: str, tags: tuple[int, ...] = DEFAULT_TAGS) -> LinearMap:
     """
     entries = {}
     for ell in range(-(ELL_MAX - 2), ELL_MAX - 2 + 1):
-        for t in tags:
+        for t in RUN_TAGS:
             entries[ModeLabel(path, ell, t)] = ((ModeLabel(path, -ell + 2, t), 1.0),)
     return LinearMap(entries, unitary=True)
 
 
 @functools.lru_cache(maxsize=64)
-def beam_splitter(p1: str, p2: str, tags: tuple[int, ...] = DEFAULT_TAGS) -> LinearMap:
+def beam_splitter(p1: str, p2: str) -> LinearMap:
     """Symmetric 50/50 beam splitter combining two paths, per (OAM, tag)."""
     if p1 == p2:
         raise ValueError("beam splitter needs two distinct paths")
     s = 1.0 / math.sqrt(2.0)
     entries = {}
     for ell in ELLS:
-        for t in tags:
+        for t in RUN_TAGS:
             m1 = ModeLabel(p1, ell, t)
             m2 = ModeLabel(p2, ell, t)
             entries[m1] = ((m1, s), (m2, 1j * s))
@@ -106,7 +112,6 @@ def parity_sorter(
     p1: str,
     p2: str,
     convention: SorterConvention = SorterConvention(),
-    tags: tuple[int, ...] = DEFAULT_TAGS,
 ) -> LinearMap:
     """Interferometric sorter routing photons by OAM parity.
 
@@ -118,7 +123,7 @@ def parity_sorter(
     entries = {}
     for ell in ELLS:
         crosses = (ell % 2 == 1) == convention.odd_swaps
-        for t in tags:
+        for t in RUN_TAGS:
             m1 = ModeLabel(p1, ell, t)
             m2 = ModeLabel(p2, ell, t)
             if crosses:
@@ -130,12 +135,7 @@ def parity_sorter(
     return LinearMap(entries, unitary=True)
 
 
-def local_unitary(
-    path: str,
-    matrix: Sequence[Sequence[complex]],
-    basis: Sequence[int],
-    tags: Sequence[int] = DEFAULT_TAGS,
-) -> LinearMap:
+def local_unitary(path: str, matrix: Sequence[Sequence[complex]], basis: Sequence[int]) -> LinearMap:
     """Unitary acting on a 3-level OAM span of one path, identity elsewhere.
 
     ``matrix[j][k]`` (nested lists or an ndarray) is the amplitude for
@@ -150,7 +150,7 @@ def local_unitary(
         raise ValueError("matrix shape must match basis length")
     entries = {}
     basis = list(basis)
-    for t in tags:
+    for t in RUN_TAGS:
         for k, ell in enumerate(basis):
             image = tuple(
                 (ModeLabel(path, basis[j], t), u[j][k])
@@ -168,17 +168,13 @@ def local_unitary(
         raise NotUnitary("matrix fails unitarity check") from None
 
 
-def relabel(
-    path: str,
-    mapping: Mapping[int, tuple[int, complex]],
-    tags: Sequence[int] = DEFAULT_TAGS,
-) -> LinearMap:
+def relabel(path: str, mapping: Mapping[int, tuple[int, complex]]) -> LinearMap:
     """Phased permutation of OAM values on one path; identity on window values neither moved nor hit."""
     images = [v for v, _ in mapping.values()]
     if len(set(images)) != len(images):
         raise ValueError("relabeling must be injective")
     entries = {}
-    for t in tags:
+    for t in RUN_TAGS:
         for old, (new, phase) in mapping.items():
             entries[ModeLabel(path, old, t)] = ((ModeLabel(path, new, t), phase),)
         for ell in sorted(set(ELLS) - set(mapping) - set(images)):
@@ -335,25 +331,24 @@ def _oam_keys(name: str, mapping: Mapping[object, complex]) -> dict[int, complex
     return out
 
 
-def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> LinearMap:
+def build_element(spec: ElementSpec) -> LinearMap:
     """Instantiate the LinearMap described by an ElementSpec."""
     p = spec.params
-    tags = tuple(tags)
     if spec.kind == "MIRROR":
-        return mirror(spec.paths[0], tags=tags)
+        return mirror(spec.paths[0])
     if spec.kind == "SPP_REFLECT":
-        return spp_reflect(spec.paths[0], tags=tags)
+        return spp_reflect(spec.paths[0])
     if spec.kind == "BEAM_SPLITTER":
-        return beam_splitter(spec.paths[0], spec.paths[1], tags=tags)
+        return beam_splitter(spec.paths[0], spec.paths[1])
     if spec.kind == "PARITY_SORTER":
         conv = SorterConvention(
             odd_swaps=p.get("odd_swaps", True),
             swap_phase=complex(p.get("swap_phase", 1.0)),
         )
-        return parity_sorter(spec.paths[0], spec.paths[1], conv, tags=tags)
+        return parity_sorter(spec.paths[0], spec.paths[1], conv)
     if spec.kind == "LOCAL_UNITARY":
         basis = tuple(_oam(f"basis[{i}]", ell) for i, ell in enumerate(p["basis"]))
-        return local_unitary(spec.paths[0], p["matrix"], basis, tags=tags)
+        return local_unitary(spec.paths[0], p["matrix"], basis)
     if spec.kind == "RELABEL":
         mapping = {}
         for old, (new, phase) in dict(p["mapping"]).items():
@@ -364,5 +359,5 @@ def build_element(spec: ElementSpec, tags: Sequence[int] = DEFAULT_TAGS) -> Line
                 _oam(f"mapping[{old}]", new),
                 complex(phase) if not isinstance(phase, (list, tuple)) else complex(*phase),
             )
-        return relabel(spec.paths[0], mapping, tags=tags)
+        return relabel(spec.paths[0], mapping)
     raise ValueError(f"unknown element kind {spec.kind!r}")

@@ -33,12 +33,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ._checks import require_finite
 from .elements import (
+    DISTINCT_TAGS,
+    EQUAL_TAGS,
+    RUN_TAGS,
     ElementSpec,
     Projector1,
     SorterConvention,
@@ -84,12 +87,6 @@ DEFAULT_MIRRORS = {"a_post_bs": 1, "c_pre_sorter": 1}
 DETAILED_SETUP_MIRRORS = {"a_post_bs": 1, "c_pre_sorter": 1, "b_post_bs": 1, "d": 1}
 
 CMP_KET = {0: 1.0, -1: 1.0}  # normalized by Projector1.of
-
-#: per-source tags of the two runs: indistinguishable and distinguishable photons
-EQUAL_TAGS = (0, 0)
-DISTINCT_TAGS = (1, 2)
-#: every tag either run gives a photon; each element map covers them all
-RUN_TAGS = tuple(sorted({*EQUAL_TAGS, *DISTINCT_TAGS}))
 
 EVEN, ODD_PLUS, ODD_MINUS = "even", "odd+", "odd-"
 TERM_KINDS = (EVEN, ODD_PLUS, ODD_MINUS)
@@ -290,7 +287,7 @@ def _compile_multiport(
     chain = []
     for i, spec in enumerate(pipeline_elements(cfg)):
         try:
-            chain.append((spec, build_element(spec, tags=RUN_TAGS)))
+            chain.append((spec, build_element(spec)))
         except (KeyError, TypeError, ValueError) as exc:
             where = f"pipeline element {i} ({spec.kind} on {', '.join(spec.paths)})"
             raise ValueError(f"{where}: {exc}") from None
@@ -404,10 +401,11 @@ def _detection_support(cfg: PipelineConfig) -> set[tuple[str, int]] | None:
     return {(m.path, m.oam) for m in selected.modes()} or None
 
 
-def _run_once(
+def _after_cmp(
     cfg: PipelineConfig, tags: tuple[int, int], support: set[tuple[str, int]] | None
-) -> PipelineResult:
-    """One coherent pipeline run with fixed per-source tags."""
+) -> tuple[PhotonicState, float]:
+    """The state of one coherent pipeline run with fixed per-source tags
+    after the CMP, and its probability."""
     selected, p_select = cfg.detected[tags]
     if support is not None and not selected.is_zero:
         kept = {
@@ -421,14 +419,7 @@ def _run_once(
         if not selected.is_zero:
             selected = selected.normalize()
     four, p_cmp = (selected, 1.0) if cfg.cmp is None else project(cfg.cmp, selected)
-    if four.is_zero:
-        return PipelineResult(four, None, 0.0, None, None)
-    probability = p_select * p_cmp
-    factored = factor_single_path(four, "A")
-    if factored is None:
-        return PipelineResult(four, None, probability, four, None)
-    a_state, bcd = factored
-    return PipelineResult(bcd, a_state, probability, four, ghz_relabel_map(bcd))
+    return four, 0.0 if four.is_zero else p_select * p_cmp
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -439,12 +430,17 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     those of the coherent, equal-tag branch.
     """
     support = _detection_support(cfg)
-    res = _run_once(cfg, EQUAL_TAGS, support)
+    four, probability = _after_cmp(cfg, EQUAL_TAGS, support)
     if cfg.overlap < 1.0:
-        distinct = _run_once(cfg, DISTINCT_TAGS, support)
-        probability = cfg.overlap * res.probability + (1 - cfg.overlap) * distinct.probability
-        res = replace(res, probability=probability)
-    return res
+        _, p_distinct = _after_cmp(cfg, DISTINCT_TAGS, support)
+        probability = cfg.overlap * probability + (1 - cfg.overlap) * p_distinct
+    if four.is_zero:
+        return PipelineResult(four, None, probability, None, None)
+    factored = factor_single_path(four, "A")
+    if factored is None:
+        return PipelineResult(four, None, probability, four, None)
+    a_state, bcd = factored
+    return PipelineResult(bcd, a_state, probability, four, ghz_relabel_map(bcd))
 
 
 def ghz_relabel_map(bcd_state: PhotonicState, tol: float = 1e-10) -> RelabelMap | None:

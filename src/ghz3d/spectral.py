@@ -183,20 +183,17 @@ def p4_numeric(
     model: SpectralModel,
     delta_t: float,
     order: int = DEFAULT_QUAD_ORDER,
-    check: bool = True,
 ) -> float:
     """Unnormalized four-fold coincidence probability at pair delay dT (s).
 
-    Deterministic for a fixed quadrature order.  With ``check`` the order is
-    doubled once and QuadratureNotConverged raised if the relative change
-    exceeds 1e-6.
+    Deterministic for a fixed quadrature order.  The order is doubled once
+    and QuadratureNotConverged raised if the relative change exceeds 1e-6.
     """
     value = _p4_quadrature(model, delta_t, order)
-    if check:
-        refined = _p4_quadrature(model, delta_t, 2 * order)
-        scale = max(abs(refined), abs(value), 1e-300)
-        if abs(refined - value) > 1e-6 * scale:
-            raise QuadratureNotConverged(f"order {order} -> {2 * order} changed P4 by more than rtol=1e-06")
+    refined = _p4_quadrature(model, delta_t, 2 * order)
+    scale = max(abs(refined), abs(value), 1e-300)
+    if abs(refined - value) > 1e-6 * scale:
+        raise QuadratureNotConverged(f"order {order} -> {2 * order} changed P4 by more than rtol=1e-06")
     return value
 
 

@@ -33,6 +33,8 @@ ELL_MAX = 5  # largest |OAM| quantum number tracked by the simulator
 
 PRUNE_EPS = 1e-14  # a state drops every term with |amplitude| <= PRUNE_EPS
 
+UNITARY_TOL = 1e-12  # a unitary map's M†M is the identity to this, per entry
+
 
 class UnsupportedMode(Exception):
     """A map was applied to a state occupying a mode outside its support."""
@@ -249,8 +251,8 @@ class LinearMap:
                 raise UnsupportedMode(f"mode {mode} not in map support") from None
             return ((mode, 1.0),)
 
-    def check_unitary(self, tol: float = 1e-12) -> bool:
-        """Column orthonormality: M†M equals the identity to ``tol``.
+    def check_unitary(self) -> bool:
+        """Column orthonormality: M†M equals the identity to ``UNITARY_TOL``.
 
         Each output mode adds conj(a)·b to M†M for every pair of columns that
         hits it, so only nonzero Gram entries are formed: cost linear in nnz.
@@ -264,7 +266,7 @@ class LinearMap:
             for i, a in hits:
                 for j, b in hits:
                     gram[i, j] = gram.get((i, j), 0.0) + a.conjugate() * b
-        return all(abs(g) <= tol for g in gram.values())
+        return all(abs(g) <= UNITARY_TOL for g in gram.values())
 
 
 def extend_identity(m: LinearMap, modes: Iterable[ModeLabel]) -> LinearMap:

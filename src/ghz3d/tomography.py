@@ -289,14 +289,14 @@ def build_witness_plan() -> tuple[PlanSetting, ...]:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Simulated or measured counts for one projective setting."""
+    """Simulated or measured counts for one projective setting.  Every
+    setting is measured for the same duration; the estimator assumes it."""
 
     descriptors: tuple[str, str, str]
     counts: float
-    duration: float = 1.0
 
     def __post_init__(self) -> None:
-        require_finite("count record", counts=self.counts, duration=self.duration)
+        require_finite("count record", counts=self.counts)
         if self.counts < 0:
             raise ValueError("counts must be non-negative")
 

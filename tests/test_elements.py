@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from ghz3d.elements import (
+    DISTINCT_TAGS,
     ELLS,
+    RUN_TAGS,
     ElementSpec,
     NotUnitary,
     Projector1,
@@ -218,7 +220,6 @@ def test_build_element_reads_integral_oam_values_as_ints():
 
 
 def test_built_in_element_maps_are_built_once_and_read_only():
-    tags = (0, 1, 2)
     specs = [
         ElementSpec("MIRROR", ("C",)),
         ElementSpec("SPP_REFLECT", ("A",)),
@@ -226,15 +227,14 @@ def test_built_in_element_maps_are_built_once_and_read_only():
         ElementSpec("PARITY_SORTER", ("B", "C"), {"odd_swaps": False, "swap_phase": -1.0}),
     ]
     for spec in specs:
-        m = build_element(spec, list(tags))  # a list of tags is read as its tuple
-        assert build_element(ElementSpec(spec.kind, list(spec.paths), dict(spec.params)), tags) is m
-        assert build_element(spec, (0, 1)) is not m
+        m = build_element(spec)
+        assert build_element(ElementSpec(spec.kind, list(spec.paths), dict(spec.params))) is m
         with pytest.raises(TypeError):
             m.entries[ModeLabel(spec.paths[0], 0, 0)] = ()
     shear = ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": np.eye(3), "basis": (0, 1, -1)})
     relabeling = ElementSpec("RELABEL", ("B",), {"mapping": {2: (0, 1.0)}})
     for spec in (shear, relabeling):
-        assert build_element(spec, tags) is not build_element(spec, tags)
+        assert build_element(spec) is not build_element(spec)
 
 
 
@@ -256,12 +256,14 @@ COVERAGE_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("tags", [(0,), (1,), (0, 1, 2)])
+# the photons' tags in the equal-tag run, in the distinct-tag run and in both
+@pytest.mark.parametrize("tags", [(0,), DISTINCT_TAGS, RUN_TAGS])
 @pytest.mark.parametrize("spec", COVERAGE_SPECS, ids=lambda spec: spec.kind)
 def test_element_maps_cover_the_window_on_their_own_paths(spec, tags):
-    m = build_element(spec, tags)
+    m = build_element(spec)
     assert m.paths == set(spec.paths)
     covered = set(m.entries) | {dst for image in m.entries.values() for dst, _ in image}
+    assert {mode.tag for mode in covered} == set(RUN_TAGS)
     window = {ModeLabel(p, ell, t) for p in spec.paths for ell in ELLS for t in tags}
     # the one exception: the reflection + SPP's images of l = -5 and -4 are 7 and 6
     gaps = {-5, -4} if spec.kind == "SPP_REFLECT" else set()

@@ -320,7 +320,7 @@ def test_configs_share_each_built_in_element_map():
     assert [spec for spec, _ in first.multiport] == [spec for spec, _ in second.multiport]
     for (spec, m1), (_, m2) in zip(first.multiport, second.multiport):
         # each config holds the one built map itself, acting on the element's paths only
-        assert m1 is m2 is build_element(spec, (0, 1, 2))
+        assert m1 is m2 is build_element(spec)
         assert m1.paths == set(spec.paths)
 
 
@@ -663,6 +663,18 @@ def test_overlap_mixes_pipeline_probability():
     p0 = run_pipeline(PipelineConfig(overlap=0.0)).probability
     ph = run_pipeline(PipelineConfig(overlap=0.75)).probability
     assert abs(ph - (0.75 * p1 + 0.25 * p0)) < 1e-14
+
+
+def test_distinct_tag_run_is_only_weighed_not_factored(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return factor_single_path(*args)
+
+    monkeypatch.setattr(experiment, "factor_single_path", counted)
+    res = run_pipeline(PipelineConfig(overlap=0.5))
+    assert len(calls) == 1 and res.relabel is not None
 
 
 # --- factorization ---------------------------------------------------------------

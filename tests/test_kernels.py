@@ -23,16 +23,20 @@ def test_lr_scan_returns_plain_ints_per_class_representative():
         assert (a[r], b[r]) == (s.a, s.b), trits
 
 
-def test_lr_walk_maps_every_assignment_to_its_class_representative():
+def test_shift_classes_map_every_assignment_to_a_representative_of_its_value():
     a, b = k.lr_scan()
-    walked = list(k.lr_walk())
-    assert [t for _, t in walked] == [Assignment.from_index(i).trits for i in range(k.N_ASSIGNMENTS)]
-    members = {}
-    for r, trits in walked:
-        s = Assignment(trits).mermin_sum()
-        assert (a[r], b[r]) == (s.a, s.b), trits
-        members[r] = members.get(r, 0) + 1
-    assert members == dict.fromkeys(range(k.N_REPRESENTATIVES), k.CLASS_SIZE)
+    members = dict.fromkeys(range(k.N_REPRESENTATIVES), 0)
+    for i in range(3**9):
+        trits = Assignment.from_index(i).trits
+        # X + t + s, Y - t, W - s with t = Y1 and s = -X1 - Y1 takes X1 and Y1 to 0
+        t, s = trits[3], -trits[0] - trits[3]
+        rep = [(v + (t + s, -t, -s)[slot // 3]) % 3 for slot, v in enumerate(trits)]
+        assert rep[0] == rep[3] == 0
+        r = sum(rep[slot] * 3**pos for pos, slot in enumerate(k.FREE_SLOTS))
+        value = Assignment(trits).mermin_sum()
+        assert (a[r], b[r]) == (value.a, value.b), trits
+        members[r] += 1
+    assert set(members.values()) == {9}
 
 
 def test_lr_scan_rejects_terms_without_the_shift_symmetry(monkeypatch):

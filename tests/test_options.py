@@ -16,23 +16,14 @@ PACKAGE = Path(ghz3d.__file__).parent
 DEFAULTED_PARAMETERS = {
     "cli.main(argv)",
     "contradiction.measurement_protocol(ops)",
-    "elements.beam_splitter(tags)",
-    "elements.build_element(tags)",
-    "elements.local_unitary(tags)",
-    "elements.mirror(tags)",
     "elements.parity_sorter(convention)",
-    "elements.parity_sorter(tags)",
-    "elements.relabel(tags)",
-    "elements.spp_reflect(tags)",
     "experiment.SourceAmplitudes.from_ratios(c1_over_c2)",
     "experiment.ghz_relabel_map(tol)",
     "experiment.spdc_state(include_c2)",
     "experiment.spdc_state(tag)",
     "spectral.p4_limit(order)",
-    "spectral.p4_numeric(check)",
     "spectral.p4_numeric(order)",
     "spectral.visibility_numeric(order)",
-    "states.LinearMap.check_unitary(tol)",
     "states.ModeLabel.__new__(tag)",
     "tomography.estimate_fidelity(accidentals)",
     "tomography.estimate_fidelity(n_resamples)",
@@ -61,7 +52,6 @@ DEFAULTED_INIT_FIELDS = {
     "experiment.PipelineConfig.source2",
     "experiment.SourceAmplitudes.c2",
     "states.LinearMap.unitary",
-    "tomography.CountRecord.duration",
     "tomography.PlanSetting.weight",
     "tomography.ProjKet.b",
     "tomography.ProjKet.kind",

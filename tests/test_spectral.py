@@ -119,7 +119,7 @@ def test_p4_even_in_delay():
 def test_p4_approaches_constant_at_large_delay():
     model = sp.SpectralModel.reference_defaults()
     limit = sp.p4_limit(model)
-    far = sp.p4_numeric(model, 60e-12, order=96, check=False)
+    far = sp.p4_numeric(model, 60e-12, order=96)
     assert abs(far - limit) / limit < 1e-3
 
 

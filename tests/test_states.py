@@ -129,7 +129,7 @@ def test_hom_two_identical_photons_cancel():
 
 
 def test_hom_distinguishable_photons_coincide_half_the_time():
-    bs = beam_splitter("A", "B", tags=(0, 1))
+    bs = beam_splitter("A", "B")
     s = PhotonicState({(ModeLabel("A", 1, 0), ModeLabel("B", 1, 1)): 1.0})
     out = apply(bs, s)
     coincidence = 0.0
@@ -360,13 +360,15 @@ def test_declared_unitary_map_rejected(entries):
 
 
 def test_map_within_tolerance_accepted():
-    off = 4e-13  # |c|^2 - 1 = 8e-13 and a cross term of the same order, below 1e-12
-    m = LinearMap(
-        {A0: ((A0, S2 * (1 + off)), (B1, 1j * S2)), B1: ((A0, 1j * S2), (B1, S2))},
-        unitary=True,
-    )
-    assert m.check_unitary()
-    assert not m.check_unitary(tol=1e-14)
+    def perturbed(off):
+        return {A0: ((A0, S2 * (1 + off)), (B1, 1j * S2)), B1: ((A0, 1j * S2), (B1, S2))}
+
+    # the column norm squared is off away from 1, a cross term off / 2
+    assert ghz3d.states.UNITARY_TOL == 1e-12
+    assert LinearMap(perturbed(8e-13), unitary=True).check_unitary()
+    assert not LinearMap(perturbed(1.2e-12)).check_unitary()
+    with pytest.raises(ValueError, match="unitary"):
+        LinearMap(perturbed(1.2e-12), unitary=True)
 
 
 def brute_force_unitary(entries, tol=1e-12):

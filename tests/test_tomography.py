@@ -300,9 +300,7 @@ def test_estimate_invariant_under_count_rescaling():
     rho = tm.noise_model(tm.NoiseParams.table1())
     plan = tm.build_witness_plan()
     records = tm.simulate_counts(rho, plan, 1652, seed=11)
-    scaled = tuple(
-        tm.CountRecord(r.descriptors, r.counts * 7.5, r.duration) for r in records
-    )
+    scaled = tuple(tm.CountRecord(r.descriptors, r.counts * 7.5) for r in records)
     f1, _ = tm.estimate_fidelity(records, n_resamples=0)
     f2, _ = tm.estimate_fidelity(scaled, n_resamples=0)
     assert f1 == pytest.approx(f2, rel=1e-12)

@@ -79,9 +79,9 @@ def test_rate_model(rep_rate, tau_int, eta, pair_rate, singles, pairs):
 
 
 @SETTINGS
-@given(numbers, numbers)
-def test_count_record(counts, duration):
-    build_or_reject(CountRecord, ("0", "0", "0"), counts, duration)
+@given(numbers)
+def test_count_record(counts):
+    build_or_reject(CountRecord, ("0", "0", "0"), counts)
 
 
 @SETTINGS
@@ -103,7 +103,7 @@ def test_projector(components):
         (lambda: SpectralModel(1.0, 1.0, math.nan, 1.0, 1.0), "crystal_length=nan"),
         (lambda: DipModel(1.0, 0.5, 1.0, -math.inf), "center=-inf"),
         (lambda: RateModel(1.0, 1.0, 0.5, pairs={"AB": math.nan}), "pairs[AB]=nan"),
-        (lambda: CountRecord(("0", "0", "0"), 1.0, math.inf), "duration=inf"),
+        (lambda: CountRecord(("0", "0", "0"), math.inf), "counts=inf"),
         (lambda: Projector1.of("A", {0: math.nan, 1: 1.0}), "projector ket norm nan"),
         (lambda: Projector1.of("A", {0: math.inf}), "projector ket norm nan"),
         (lambda: ModeLabel("A", math.nan), "=nan exceeds ELL_MAX"),
