@@ -238,15 +238,11 @@ def noise_params_from(cfg: Mapping[str, Any]) -> NoiseParams:
 
 
 def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
-    from .experiment import classify_terms, logical_state_vector, run_pipeline, schmidt_rank_vector
-    from .states import UnsupportedMode
+    from .experiment import GHZ_PATHS, classify_terms, logical_state_vector, run_pipeline
 
     pipeline = pipeline_config_from(cfg)
-    try:
-        result = run_pipeline(pipeline)
-        cls = classify_terms(pipeline)
-    except UnsupportedMode as exc:
-        raise ConfigError(f"pipeline.elements push a photon out of the tracked modes: {exc}") from exc
+    result = run_pipeline(pipeline)
+    cls = classify_terms(pipeline)
     report: dict[str, Any] = {
         "seed": seed,
         "success_probability": result.probability,
@@ -257,7 +253,8 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         vec = logical_state_vector(result.bcd_state, result.relabel)
         g = 1.0 / math.sqrt(3.0)  # each nonzero amplitude of tomography.ideal_ghz()
         report["fidelity_vs_ghz"] = abs(g * vec[0] + g * vec[13] + g * vec[26]) ** 2
-        report["srv"] = list(schmidt_rank_vector(vec))
+        # three equal terms, distinct OAM values per path: Schmidt form on every split, rank = levels
+        report["srv"] = [len(result.relabel.by_path[p]) for p in GHZ_PATHS]
         report["relabel"] = result.relabel.to_dict()
     else:
         report["fidelity_vs_ghz"] = None
@@ -301,8 +298,9 @@ def cmd_hom(cfg: dict, out: Path, x_min: float, x_max: float, x_steps: int) -> i
         )
     except _BAD_INPUT as exc:
         raise ConfigError(f"invalid dip config: {exc}") from exc
-    if x_steps < 2:
-        raise ConfigError("--x-steps must be at least 2")
+    # past sys.maxsize // 8 float64 samples an array's byte count overflows
+    if not 2 <= x_steps <= sys.maxsize // 8:
+        raise ConfigError(f"--x-steps must lie in [2, {sys.maxsize // 8}], got {x_steps}")
     if not math.isfinite(x_max - x_min):  # NaN or infinite ends, or a span past the float range
         raise ConfigError(f"--x-min and --x-max must span a finite range: {x_min}, {x_max}")
     xs = np.linspace(x_min, x_max, x_steps)

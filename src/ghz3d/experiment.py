@@ -55,7 +55,6 @@ from .states import (
     ModeLabel,
     Occupation,
     PhotonicState,
-    UnsupportedMode,
     _detect,
     fold,
     tensor,
@@ -215,10 +214,15 @@ class PipelineConfig:
         multiport, multiport_map = _compile_multiport(self)
         object.__setattr__(self, "multiport", multiport)
         object.__setattr__(self, "multiport_map", multiport_map)
-        try:
-            detected = {tags: _detected(self, _sources(self, tags)) for tags in (EQUAL_TAGS, DISTINCT_TAGS)}
-        except UnsupportedMode as exc:
-            raise ValueError(f"pipeline.elements push a photon out of the tracked OAM window: {exc}") from None
+        # the combos of classify_terms occupy every |l| <= 1 source mode, a source emitting c2 its +-2 ones too
+        sources = ((SOURCE1_PATHS, self.source1), (SOURCE2_PATHS, self.source2))
+        c2_paths = {path for paths, amps in sources if self.include_c2 and amps.c2 for path in paths}
+        missing = SOURCE_MODES.difference(multiport_map.entries)
+        lost = {(m.path, m.oam) for m in missing if abs(m.oam) < 2 or m.path in c2_paths}
+        if lost:
+            where = ", ".join(f"{path} l={ell}" for path, ell in sorted(lost))
+            raise ValueError(f"pipeline.elements push a photon out of the tracked OAM window: from {where}")
+        detected = {tags: _detected(self, _sources(self, tags)) for tags in (EQUAL_TAGS, DISTINCT_TAGS)}
         object.__setattr__(self, "detected", MappingProxyType(detected))
 
 
@@ -281,7 +285,8 @@ def _compile_multiport(
     chain folded into one map over the source modes, the only modes a state
     applied to it occupies.  A source mode whose photon the chain pushes out
     of the OAM window is left out of the folded map's support, so occupying
-    it raises UnsupportedMode.  An element that cannot be built is a
+    it raises UnsupportedMode; ``PipelineConfig`` rejects a chain that leaves
+    out a mode its runs occupy.  An element that cannot be built is a
     ValueError naming it.
     """
     chain = []
@@ -499,57 +504,6 @@ def logical_state_vector(bcd_state: PhotonicState, relab: RelabelMap) -> list[co
     # the norm and the scaling as numpy takes them: real squares, then imaginary
     n = math.sqrt(sum(z.real * z.real for z in vec) + sum(z.imag * z.imag for z in vec))
     return [z * (1.0 / n) for z in vec] if n else vec
-
-
-#: a Schmidt coefficient above this counts toward the Schmidt rank
-SCHMIDT_RANK_EPS = 1e-7
-#: Jacobi rotations stop once every row pair's overlap is this small against the larger norm squared
-_JACOBI_TOL = 1e-15
-_JACOBI_SWEEPS = 30  # four suffice for the 3 x 9 split matrices
-
-
-def schmidt_rank_vector(vec: Sequence[complex]) -> tuple[int, int, int]:
-    """Schmidt rank vector of a 27-component (B, C, D) vector, index 9b + 3c + d:
-    per one-vs-rest split B|CD, C|BD, D|BC, the number of Schmidt coefficients
-    (singular values of the 3 x 9 split matrix) above ``SCHMIDT_RANK_EPS``."""
-    vec = [complex(z) for z in vec]
-    if len(vec) != 27:
-        raise ValueError(f"need 27 components, got {len(vec)}")
-    ranks = []
-    for stride in (9, 3, 1):
-        rows = [[z for k, z in enumerate(vec) if k // stride % 3 == i] for i in range(3)]
-        ranks.append(sum(s > SCHMIDT_RANK_EPS for s in _singular_values(rows)))
-    return tuple(ranks)  # type: ignore[return-value]
-
-
-def _singular_values(rows: list[list[complex]]) -> list[float]:
-    """Singular values of the matrix with these three rows, by one-sided (Hestenes)
-    Jacobi: plane rotations of row pairs until the rows are orthogonal, when
-    their norms are the singular values.  The rows are rotated in place."""
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            a, b = rows[i], rows[j]
-            alpha = sum(z.real * z.real + z.imag * z.imag for z in a)
-            beta = sum(z.real * z.real + z.imag * z.imag for z in b)
-            gamma = sum(x.conjugate() * y for x, y in zip(a, b))
-            g = abs(gamma)
-            # against the larger norm, not both: a row of rounding noise is not rotated on and on
-            if g <= _JACOBI_TOL * max(alpha, beta):
-                continue
-            rotated = True
-            # phase row j so that <a, b> = g is real, then rotate by t = tan(theta)
-            zeta = (beta - alpha) / (2.0 * g)
-            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-            c = 1.0 / math.hypot(1.0, t)
-            s = c * t
-            unphase = (gamma / g).conjugate()
-            b = [unphase * y for y in b]
-            rows[i] = [c * x - s * y for x, y in zip(a, b)]
-            rows[j] = [s * x + c * y for x, y in zip(a, b)]
-        if not rotated:
-            break
-    return [math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in row)) for row in rows]
 
 
 SURVIVES = "SURVIVES"

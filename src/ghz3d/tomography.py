@@ -45,6 +45,9 @@ DIM = 3
 N_PARTIES = 3
 HILBERT = DIM**N_PARTIES
 
+#: a Schmidt coefficient above this counts toward the Schmidt rank
+SCHMIDT_RANK_EPS = 1e-7
+
 #: descriptor label for an auxiliary never-populated mode, used when an
 #: element pair coincides (a projector on (k, q) then measures |k><k|/2)
 AUX_LABEL = "q"
@@ -96,11 +99,9 @@ def schmidt_coeffs(psi: np.ndarray, party: int) -> np.ndarray:
 
 
 def srv(psi: np.ndarray) -> tuple[int, int, int]:
-    """Schmidt rank vector across the three one-vs-rest bipartitions (coefficients > 1e-7),
-    by :func:`ghz3d.experiment.schmidt_rank_vector`."""
-    from .experiment import schmidt_rank_vector  # here: witness and mermin load no pipeline module
-
-    return schmidt_rank_vector(np.asarray(psi, dtype=complex).ravel().tolist())
+    """Schmidt rank vector across the three one-vs-rest bipartitions: per party,
+    the number of Schmidt coefficients above ``SCHMIDT_RANK_EPS``."""
+    return tuple(int(np.sum(schmidt_coeffs(psi, party) > SCHMIDT_RANK_EPS)) for party in range(3))
 
 
 def witness_bound(psi: np.ndarray) -> float:

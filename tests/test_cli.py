@@ -93,6 +93,14 @@ NONUNITARY = {
 }
 # the photon on A reaches l = 4, where the last SPP_REFLECT has no image
 OUT_OF_WINDOW = [{"kind": k, "paths": ["A"]} for k in ("SPP_REFLECT", "MIRROR", "SPP_REFLECT", "SPP_REFLECT")]
+# a chain that loses only l = 0 on A, with sources that emit no l = 0 photon there
+EVEN_OUT_OF_WINDOW = {
+    "source1": {"c0": 0.0, "c1": 2**-0.5},
+    "elements": [
+        {"kind": "RELABEL", "paths": ["A"], "params": {"mapping": {"0": [5, 1], "5": [0, 1]}}},
+        {"kind": "SPP_REFLECT", "paths": ["A"]},
+    ],
+}
 # finite rate files whose derived probabilities or counts leave their domain
 OVERFULL_PAIRS = dict(RATES, rep_rate_hz=7.6e7, pairs=dict(RATES["pairs"], AB=1e9))
 HUGE_WINDOW = dict(RATES, rep_rate_hz=1e200, tau_int_s=1e200)
@@ -245,6 +253,10 @@ FRACTIONAL_BASIS = {
         (["counts"], dict(RATES, tau_int_s=-1), "rep_rate and tau_int must be positive: tau_int=-1"),
         (["counts"], dict(RATES, eta=1.5), "eta must lie in (0, 1]: eta=1.5"),
         (["counts"], dict(RATES, pair_rate_hz=-1), "pair_rate must be non-negative: pair_rate=-1"),
+        (["simulate"], {"pipeline": EVEN_OUT_OF_WINDOW}, "pipeline.elements push a photon out of the tracked OAM window"),
+        # more samples than an array can hold, rejected before anything is allocated
+        (["hom", "--x-steps", 2**63], {}, "--x-steps must lie in [2, "),
+        (["hom", "--x-steps", 10**19], {}, "got 10000000000000000000"),
     ],
 )
 def test_nonfinite_config_exits_2_naming_field(tmp_path, capsys, args, config, field):

@@ -35,7 +35,6 @@ from ghz3d.experiment import (
     logical_state_vector,
     pipeline_elements,
     run_pipeline,
-    schmidt_rank_vector,
     spdc_state,
 )
 from ghz3d.states import LinearMap, ModeLabel, PhotonicState, apply, fidelity_pure, fold, postselect, tensor
@@ -124,6 +123,12 @@ def test_config_mappings_are_read_only():
 SHEAR = ElementSpec("LOCAL_UNITARY", ("B",), {"matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "basis": (0, 1, -1)})
 # the photon on A reaches l = 4, where the last SPP_REFLECT has no image
 OUT_OF_WINDOW = tuple(ElementSpec(k, ("A",)) for k in ("SPP_REFLECT", "MIRROR", "SPP_REFLECT", "SPP_REFLECT"))
+# the RELABEL sends an l = 0 photon on A to l = 5, where the SPP_REFLECT has no image; a source
+# with c0 = 0 emits no such photon, but the even combos of classify_terms do
+EVEN_OUT_OF_WINDOW = (
+    ElementSpec("RELABEL", ("A",), {"mapping": {"0": [5, 1], "5": [0, 1]}}),
+    ElementSpec("SPP_REFLECT", ("A",)),
+)
 
 
 @pytest.mark.parametrize(
@@ -139,6 +144,10 @@ OUT_OF_WINDOW = tuple(ElementSpec(k, ("A",)) for k in ("SPP_REFLECT", "MIRROR", 
         ({"cmp_ket": {1.5: 1, -1: 1}}, "OAM values must be integers: cmp_ket[1.5]=1.5"),
         ({"cmp_ket": {7: 1}}, "OAM values must lie in the tracked window |l| <= 5: cmp_ket[7]"),
         ({"cmp_ket": {0: 1, "0": 1}}, "OAM values must be distinct: cmp_ket[0] repeats l=0"),
+        (
+            {"source1": SourceAmplitudes(0.0, 2**-0.5), "elements_override": EVEN_OUT_OF_WINDOW},
+            "pipeline.elements push a photon out of the tracked OAM window: from A l=0",
+        ),
     ],
 )
 def test_config_rejects_a_multiport_it_cannot_build(kwargs, message):
@@ -499,14 +508,15 @@ def test_relabeled_state_is_exact_ghz():
 
 def test_schmidt_rank_rule_matches_svd_on_every_relabelled_config():
     """Each of the 1024 cached configs whose detected state has a relabel map
-    once the term weights are let go (tol=1.0): 256 of them, all (3, 3, 3)."""
+    once the term weights are let go (tol=1.0): 256 of them, all (3, 3, 3).
+    The report's rule, one rank per level of each path, is LAPACK's count."""
     relabelled = 0
     for cfg in every_mirror_and_sorter_config():
         res = run_pipeline(cfg)
         relab = ghz_relabel_map(res.bcd_state, tol=1.0)
         if relab is not None:
             vec = logical_state_vector(res.bcd_state, relab)
-            assert schmidt_rank_vector(vec) == svd_rank_vector(vec) == (3, 3, 3)
+            assert tuple(len(relab.by_path[p]) for p in experiment.GHZ_PATHS) == svd_rank_vector(vec) == (3, 3, 3)
             relabelled += 1
     assert relabelled == 256
 
