@@ -1,13 +1,12 @@
-"""Validation shared by the dataclass input boundaries, and the noise
-parameters that both ``tomography`` and the numpy-free ``mermin`` command
-read."""
+"""Validation shared by the input boundaries, the base of the validated
+value types, and the noise parameters that both ``tomography`` and the
+numpy-free ``mermin`` command read."""
 
 from __future__ import annotations
 
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -37,8 +36,35 @@ def _check_weights(what: str, weights: Sequence[complex]) -> None:
         raise ValueError(f"weights cannot be normalized: sum of squares {squares}")
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class Frozen:
+    """Base of the validated value types.  Each sets its fields once, in
+    ``__init__``, with ``object.__setattr__``; assigning or deleting one later
+    is an AttributeError.  The fields its ``_fields`` names give its equality,
+    hash and repr, ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class NoiseParams(Frozen):
     """Quality parameters of the produced state, as
     :func:`ghz3d.tomography.noise_model` uses them.
 
@@ -49,11 +75,12 @@ class NoiseParams:
     the same Mermin expectation, since the Mermin operator has no diagonal.
     """
 
-    p: float
-    c: float
-    weights: tuple[float, float, float]
+    __slots__ = _fields = ("p", "c", "weights")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: float, c: float, weights: tuple[float, float, float]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "weights", weights)
         require_finite("noise parameters", p=self.p, c=self.c)
         _check_weights("noise parameters", self.weights)
         outside = [f"{name}={value}" for name, value in (("p", self.p), ("c", self.c)) if not 0.0 <= value <= 1.0]

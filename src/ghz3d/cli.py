@@ -36,7 +36,7 @@ class ConfigError(ValueError):
     """Invalid or unreadable configuration input."""
 
 
-#: what building the dataclasses from read config values raises on a bad value
+#: what building the value types from read config values raises on a bad value
 _BAD_INPUT = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 _REQUIRED = object()  # the default of a config field that must be given
 

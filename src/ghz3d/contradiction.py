@@ -39,10 +39,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import _kernels
+from ._checks import Frozen
 from ._kernels import CONCURRENT_TABLE
 
 if TYPE_CHECKING:
@@ -59,8 +59,7 @@ class NotEigenstate(RuntimeError):
     """A concurrent-set product fails to have the GHZ state as eigenstate."""
 
 
-@dataclass(frozen=True)
-class CyclotomicInt:
+class CyclotomicInt(NamedTuple):
     """Exact element a + b*omega of Z[omega], omega = e^{2 pi i/3}.
 
     Multiplication uses omega^2 = -1 - omega; the squared modulus
@@ -94,15 +93,15 @@ class CyclotomicInt:
         return f"{self.a}{self.b:+d}w"
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Frozen):
     """Local-realistic values v(X_k), v(Y_k), v(W_k) as omega exponents."""
 
-    trits: tuple[int, ...]  # layout (X1, X2, X3, Y1, Y2, Y3, W1, W2, W3)
+    __slots__ = _fields = ("trits",)
 
-    def __post_init__(self) -> None:
-        if len(self.trits) != 9 or any(t not in (0, 1, 2) for t in self.trits):
+    def __init__(self, trits: tuple[int, ...]) -> None:
+        if len(trits) != 9 or any(t not in (0, 1, 2) for t in trits):
             raise ValueError("assignment needs nine trits in {0, 1, 2}")
+        object.__setattr__(self, "trits", trits)  # layout (X1, X2, X3, Y1, Y2, Y3, W1, W2, W3)
 
     def value(self, setting: str, party: int) -> int:
         """Exponent of omega assigned to observable ``setting`` of ``party`` (1-based)."""
@@ -126,16 +125,19 @@ class Assignment:
         return total
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorSet:
+class OperatorSet(Frozen):
     """The local observables as 3x3 matrices, indexed ``m[i][j]``: tuples of
     complex entries or read-only arrays.  Compared and hashed by identity
     (arrays have no single-valued equality)."""
 
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    z: np.ndarray
+    __slots__ = _fields = ("x", "y", "w", "z")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, z: np.ndarray) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "z", z)
 
     def by_name(self, name: str) -> np.ndarray:
         return {"X": self.x, "Y": self.y, "W": self.w, "Z": self.z}[name]
@@ -262,8 +264,7 @@ def quantum_expectation(operator: np.ndarray, rho: np.ndarray) -> complex:
     return complex(np.trace(np.asarray(rho, dtype=complex) @ operator))
 
 
-@dataclass(frozen=True)
-class LREnumeration:
+class LREnumeration(NamedTuple):
     """Exhaustive local-realistic enumeration result."""
 
     count: int

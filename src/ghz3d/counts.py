@@ -11,10 +11,10 @@ both maps consistently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
-from ._checks import require_finite
+from ._checks import Frozen, require_finite
 
 DETECTORS = ("A", "B", "C", "D")
 PAIR_KEYS = ("AB", "AC", "AD", "BC", "BD", "CD")
@@ -27,18 +27,22 @@ class MissingPair(KeyError):
     """A required detector pair is absent from an input map."""
 
 
-@dataclass(frozen=True)
-class RateModel:
+class RateModel(Frozen):
     """Measured rates of one run: laser, efficiency, singles and pairs."""
 
-    rep_rate: float                      # Hz
-    tau_int: float                       # s
-    eta: float                           # overall detection efficiency
-    pair_rate: float = 0.0               # detected pairs/s in the reference mode
-    singles: Mapping[str, float] = field(default_factory=dict)   # counts per tau_int
-    pairs: Mapping[str, float] = field(default_factory=dict)     # counts per tau_int
+    __slots__ = _fields = ("rep_rate", "tau_int", "eta", "pair_rate", "singles", "pairs")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        rep_rate: float,                                      # Hz
+        tau_int: float,                                       # s
+        eta: float,                                           # overall detection efficiency
+        pair_rate: float = 0.0,                               # detected pairs/s in the reference mode
+        singles: Mapping[str, float] = MappingProxyType({}),  # counts per tau_int
+        pairs: Mapping[str, float] = MappingProxyType({}),    # counts per tau_int
+    ) -> None:
+        for name, value in zip(self._fields, (rep_rate, tau_int, eta, pair_rate, dict(singles), dict(pairs))):
+            object.__setattr__(self, name, value)
         scalars = {name: getattr(self, name) for name in ("rep_rate", "tau_int", "eta", "pair_rate")}
         counts = {f"{name}[{k}]": v for name in ("singles", "pairs") for k, v in getattr(self, name).items()}
         require_finite("rate model", **scalars, **counts)
@@ -52,8 +56,6 @@ class RateModel:
         negative = [f"{name}={value}" for name, value in counts.items() if value < 0]
         if negative:
             raise ValueError(f"counts must be non-negative: {', '.join(negative)}")
-        object.__setattr__(self, "singles", dict(self.singles))
-        object.__setattr__(self, "pairs", dict(self.pairs))
 
 
 def fourfold_probability(

@@ -27,11 +27,10 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from ._checks import require_finite
+from ._checks import Frozen, require_finite
 from .states import (
     ELL_MAX,
     LinearMap,
@@ -92,19 +91,19 @@ def beam_splitter(p1: str, p2: str) -> LinearMap:
     return LinearMap(entries, unitary=True)
 
 
-@dataclass(frozen=True)
-class SorterConvention:
+class SorterConvention(Frozen):
     """Routing convention of the interferometric OAM parity sorter."""
 
-    odd_swaps: bool = True  # False: even parity swaps paths instead
-    swap_phase: complex = 1.0
+    __slots__ = _fields = ("odd_swaps", "swap_phase")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.odd_swaps, bool):
-            raise ValueError(f"sorter odd_swaps must be a bool: {self.odd_swaps!r}")
-        require_finite("sorter convention", swap_phase=self.swap_phase)
-        if abs(abs(self.swap_phase) - 1.0) > 1e-12:
-            raise ValueError(f"sorter swap_phase must be unimodular: {self.swap_phase}")
+    def __init__(self, odd_swaps: bool = True, swap_phase: complex = 1.0) -> None:
+        if not isinstance(odd_swaps, bool):
+            raise ValueError(f"sorter odd_swaps must be a bool: {odd_swaps!r}")
+        require_finite("sorter convention", swap_phase=swap_phase)
+        if abs(abs(swap_phase) - 1.0) > 1e-12:
+            raise ValueError(f"sorter swap_phase must be unimodular: {swap_phase}")
+        object.__setattr__(self, "odd_swaps", odd_swaps)  # False: even parity swaps paths instead
+        object.__setattr__(self, "swap_phase", swap_phase)
 
 
 @functools.lru_cache(maxsize=64)
@@ -182,17 +181,17 @@ def relabel(path: str, mapping: Mapping[int, tuple[int, complex]]) -> LinearMap:
     return LinearMap(entries, unitary=True)
 
 
-@dataclass(frozen=True)
-class Projector1:
+class Projector1(Frozen):
     """Single-photon projection onto a fixed OAM superposition in one path."""
 
-    path: str
-    ket: tuple[tuple[int, complex], ...]
+    __slots__ = _fields = ("path", "ket")
 
-    def __post_init__(self) -> None:
-        norm = math.hypot(*(abs(c) for _, c in self.ket))  # scaled: no overflow
+    def __init__(self, path: str, ket: tuple[tuple[int, complex], ...]) -> None:
+        norm = math.hypot(*(abs(c) for _, c in ket))  # scaled: no overflow
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails this too
             raise ValueError(f"projector ket norm {norm} != 1")
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "ket", ket)
 
     @classmethod
     def of(cls, path: str, components: Mapping[int, complex]) -> "Projector1":
@@ -274,32 +273,30 @@ def _numbers(name: str, value: object) -> Iterator[tuple[str, complex]]:
         raise ValueError(f"{name} must be a number: {value!r}")
 
 
-@dataclass(frozen=True)
-class ElementSpec:
+class ElementSpec(Frozen):
     """Declarative description of one optical element; ``kind``, ``paths``
     and ``params`` are the keys of an element of the CLI config's chains."""
 
-    kind: str
-    paths: tuple[str, ...]
-    params: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = _fields = ("kind", "paths", "params")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ELEMENT_KINDS:
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        if not self.paths:
+    def __init__(self, kind: str, paths: Sequence[str], params: Mapping[str, object] = MappingProxyType({})) -> None:
+        if kind not in ELEMENT_KINDS:
+            raise ValueError(f"unknown element kind {kind!r}")
+        if not paths:
             raise ValueError("element needs at least one path")
-        if not all(isinstance(p, str) for p in self.paths):
-            raise ValueError(f"element paths must be strings: {list(self.paths)}")
-        if self.kind in ("BEAM_SPLITTER", "PARITY_SORTER") and len(self.paths) != 2:
-            raise ValueError(f"{self.kind} takes exactly 2 paths")
-        params = dict(self.params)
+        if not all(isinstance(p, str) for p in paths):
+            raise ValueError(f"element paths must be strings: {list(paths)}")
+        if kind in ("BEAM_SPLITTER", "PARITY_SORTER") and len(paths) != 2:
+            raise ValueError(f"{kind} takes exactly 2 paths")
+        params = dict(params)
         # odd_swaps is the one bool param; SorterConvention checks it
         numeric = {key: value for key, value in params.items() if key != "odd_swaps"}
         require_finite(
-            f"{self.kind} params",
+            f"{kind} params",
             **{name: v for key, value in numeric.items() for name, v in _numbers(str(key), value)},
         )
-        object.__setattr__(self, "paths", tuple(self.paths))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "paths", tuple(paths))
         object.__setattr__(self, "params", MappingProxyType(params))
 
 

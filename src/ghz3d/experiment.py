@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from ._checks import require_finite
+from ._checks import Frozen, require_finite
 from .elements import (
     DISTINCT_TAGS,
     EQUAL_TAGS,
@@ -106,20 +105,20 @@ SOURCE_MODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SourceAmplitudes:
+class SourceAmplitudes(Frozen):
     """Pair-term amplitudes of one down-conversion source.
 
     c0, c1, c2 weight the |0,0>, |+-1,-+1> and |+-2,-+2> pair terms;
     normalization is c0^2 + 2 c1^2 + 2 c2^2 = 1.
     """
 
-    c0: float
-    c1: float
-    c2: float = 0.0
+    __slots__ = _fields = ("c0", "c1", "c2")
 
-    def __post_init__(self) -> None:
-        amplitudes = {"c0": self.c0, "c1": self.c1, "c2": self.c2}
+    def __init__(self, c0: float, c1: float, c2: float = 0.0) -> None:
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        amplitudes = {"c0": c0, "c1": c1, "c2": c2}
         require_finite("source amplitudes", **amplitudes)
         negative = [f"{name}={value}" for name, value in amplitudes.items() if value < 0]
         if negative:
@@ -130,7 +129,7 @@ class SourceAmplitudes:
         too_large = [f"{name}={value}" for name, value in amplitudes.items() if value > 1.0 + tol]
         if too_large:
             raise ValueError(f"source amplitudes must not exceed 1: {', '.join(too_large)}")
-        n = self.c0**2 + 2 * self.c1**2 + 2 * self.c2**2
+        n = c0**2 + 2 * c1**2 + 2 * c2**2
         if abs(n - 1.0) > tol:
             raise ValueError(f"source amplitudes not normalized: {n}")
 
@@ -154,60 +153,63 @@ class SourceAmplitudes:
         return cls(c0 / n, c1 / n, c2 / n)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Frozen):
     """Everything needed to assemble and run the four-photon pipeline."""
 
-    source1: SourceAmplitudes = field(default_factory=SourceAmplitudes.balanced)
-    source2: SourceAmplitudes = field(default_factory=SourceAmplitudes.balanced)
-    mirrors: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_MIRRORS))
-    sorter: SorterConvention = SorterConvention()
-    overlap: float = 1.0  # temporal overlap o of the two sources, in [0, 1]
-    include_c2: bool = False
-    cmp_ket: Mapping[int, complex] | None = field(default_factory=lambda: dict(CMP_KET))
-    elements_override: tuple[ElementSpec, ...] | None = None
-    restrict_detection: bool = True  # drop modes outside the c2-free support
-    # computed by __post_init__: every element of pipeline_elements(self) with
-    # its map over both runs' tags, the chain folded into one map, the CMP
-    # projector (None without CMP), and the full source state of each run
-    # through the multi-port, postselected
-    multiport: tuple[tuple[ElementSpec, LinearMap], ...] = field(init=False, repr=False, compare=False)
-    multiport_map: LinearMap = field(init=False, repr=False, compare=False)
-    cmp: Projector1 | None = field(init=False, repr=False, compare=False)
-    detected: Mapping[tuple[int, int], tuple[PhotonicState, float]] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("source1", "source2", "mirrors", "sorter", "overlap", "include_c2", "cmp_ket", "elements_override",
+               "restrict_detection")
+    # computed by __init__, left out of equality and repr: every element of
+    # pipeline_elements(self) with its map over both runs' tags, the chain
+    # folded into one map, the CMP projector (None without CMP), and the full
+    # source state of each run through the multi-port, postselected
+    __slots__ = (*_fields, "multiport", "multiport_map", "cmp", "detected")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"overlap must lie in [0, 1]: overlap={self.overlap}")
-        if not isinstance(self.include_c2, bool):
-            raise ValueError(f"include_c2 must be a bool: {self.include_c2!r}")
-        cmp_ket = {} if self.cmp_ket is None else _oam_keys("cmp_ket", self.cmp_ket)
-        cmp_ket = {ell: complex(v) for ell, v in cmp_ket.items()}
+    def __init__(
+        self,
+        source1: SourceAmplitudes = SourceAmplitudes.balanced(),
+        source2: SourceAmplitudes = SourceAmplitudes.balanced(),
+        mirrors: Mapping[str, int] = DEFAULT_MIRRORS,
+        sorter: SorterConvention = SorterConvention(),
+        overlap: float = 1.0,  # temporal overlap o of the two sources, in [0, 1]
+        include_c2: bool = False,
+        cmp_ket: Mapping[int, complex] | None = CMP_KET,
+        elements_override: Sequence[ElementSpec] | None = None,
+        restrict_detection: bool = True,  # drop modes outside the c2-free support
+    ) -> None:
+        if not 0.0 <= overlap <= 1.0:
+            raise ValueError(f"overlap must lie in [0, 1]: overlap={overlap}")
+        if not isinstance(include_c2, bool):
+            raise ValueError(f"include_c2 must be a bool: {include_c2!r}")
+        ket = {} if cmp_ket is None else _oam_keys("cmp_ket", cmp_ket)
+        ket = {ell: complex(v) for ell, v in ket.items()}
         require_finite(
             "pipeline config",
-            overlap=self.overlap,
-            **{f"mirrors[{k}]": v for k, v in self.mirrors.items()},
-            **{f"cmp[{k}]": v for k, v in cmp_ket.items()},
+            overlap=overlap,
+            **{f"mirrors[{k}]": v for k, v in mirrors.items()},
+            **{f"cmp[{k}]": v for k, v in ket.items()},
         )
-        unknown = set(self.mirrors) - set(MIRROR_STATIONS)
+        unknown = set(mirrors) - set(MIRROR_STATIONS)
         if unknown:
             raise ValueError(f"unknown mirror stations: {sorted(unknown)}")
-        mirrors = {k: int(v) for k, v in self.mirrors.items()}
-        fractional = [f"mirrors[{k}]={v}" for k, v in self.mirrors.items() if v != mirrors[k]]
+        counts = {k: int(v) for k, v in mirrors.items()}
+        fractional = [f"mirrors[{k}]={v}" for k, v in mirrors.items() if v != counts[k]]
         if fractional:
             raise ValueError(f"mirror counts must be integers: {', '.join(fractional)}")
-        negative = [f"mirrors[{k}]={n}" for k, n in mirrors.items() if n < 0]
+        negative = [f"mirrors[{k}]={n}" for k, n in counts.items() if n < 0]
         if negative:
             raise ValueError(f"mirror counts must be non-negative: {', '.join(negative)}")
-        object.__setattr__(self, "mirrors", MappingProxyType(mirrors))
-        if self.cmp_ket is not None:
-            object.__setattr__(self, "cmp_ket", MappingProxyType(cmp_ket))
-        if self.elements_override is not None:
-            object.__setattr__(self, "elements_override", tuple(self.elements_override))
+        cmp_ket = None if cmp_ket is None else MappingProxyType(ket)
+        object.__setattr__(self, "source1", source1)
+        object.__setattr__(self, "source2", source2)
+        object.__setattr__(self, "mirrors", MappingProxyType(counts))
+        object.__setattr__(self, "sorter", sorter)
+        object.__setattr__(self, "overlap", overlap)
+        object.__setattr__(self, "include_c2", include_c2)
+        object.__setattr__(self, "cmp_ket", cmp_ket)
+        object.__setattr__(self, "elements_override", None if elements_override is None else tuple(elements_override))
+        object.__setattr__(self, "restrict_detection", restrict_detection)
         try:
-            cmp = None if self.cmp_ket is None else Projector1.of("A", self.cmp_ket)
+            cmp = None if cmp_ket is None else Projector1.of("A", cmp_ket)
         except ValueError as exc:
             raise ValueError(f"cmp_ket: {exc}") from None
         object.__setattr__(self, "cmp", cmp)
@@ -321,8 +323,7 @@ def _detected(cfg: PipelineConfig, state: PhotonicState) -> tuple[PhotonicState,
     return _detect(cfg.multiport_map, state, DETECTOR_PATHS)
 
 
-@dataclass(frozen=True)
-class RelabelMap:
+class RelabelMap(NamedTuple):
     """Per-path OAM relabeling (value -> logical level, phase) onto the GHZ form.
 
     Applying the phases and reading mode values as logical levels turns the
@@ -344,8 +345,7 @@ class RelabelMap:
         }
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Output of one pipeline run at a fixed tag assignment."""
 
     bcd_state: PhotonicState
@@ -511,16 +511,14 @@ PARITY_BLOCKED = "PARITY_BLOCKED"
 CROSS_BLOCKED = "CROSS_BLOCKED"
 
 
-@dataclass(frozen=True)
-class ComboReport:
+class ComboReport(NamedTuple):
     verdict: str
     hom_involved: bool
     cmp_blocked: bool
     probability: float
 
 
-@dataclass(frozen=True)
-class TermClassification:
+class TermClassification(NamedTuple):
     """Verdict and mechanism flags for each of the nine four-photon combos."""
 
     combos: Mapping[tuple[str, str], ComboReport]

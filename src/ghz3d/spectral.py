@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._checks import require_finite
+from ._checks import Frozen, require_finite
 from ._kernels import p4_sums
 
 C_LIGHT = 299_792_458.0  # m/s
@@ -86,19 +85,24 @@ def visibility(sigma_f: float, sigma_gvm_: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class SpectralModel:
+class SpectralModel(Frozen):
     """Gaussian joint-spectral-amplitude parameters of one pair source."""
 
-    sigma_f: float            # spectral filter width, Hz
-    sigma_p: float            # pump spectral width, Hz
-    crystal_length: float     # m
-    delta_inv_gv: float       # 1/v_pump - 1/v_downconv, s/m
-    lambda_c: float           # downconverted center wavelength, m
+    __slots__ = _fields = ("sigma_f", "sigma_p", "crystal_length", "delta_inv_gv", "lambda_c")
 
-    def __post_init__(self) -> None:
-        require_finite("spectral model", **vars(self))
-        for name, value in vars(self).items():
+    def __init__(
+        self,
+        sigma_f: float,         # spectral filter width, Hz
+        sigma_p: float,         # pump spectral width, Hz
+        crystal_length: float,  # m
+        delta_inv_gv: float,    # 1/v_pump - 1/v_downconv, s/m
+        lambda_c: float,        # downconverted center wavelength, m
+    ) -> None:
+        fields = dict(zip(self._fields, (sigma_f, sigma_p, crystal_length, delta_inv_gv, lambda_c)))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        require_finite("spectral model", **fields)
+        for name, value in fields.items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive: {name}={value}")
         # the widths the model squares and divides by, each with the inputs it derives from
@@ -209,8 +213,7 @@ def visibility_numeric(model: SpectralModel, order: int = DEFAULT_QUAD_ORDER) ->
     return cross / i2**2
 
 
-@dataclass(frozen=True)
-class DipModel:
+class DipModel(Frozen):
     """Phenomenological Gaussian dip in the four-fold rate vs delay position.
 
     ``width`` is the 1/e half-width of the fitted Gaussian in delay-stage
@@ -219,19 +222,20 @@ class DipModel:
     clips it to >= 0), but not negative, which would give negative rates.
     """
 
-    baseline: float   # counts/s far from the dip
-    visibility: float
-    width: float      # m
-    center: float     # m
+    __slots__ = _fields = ("baseline", "visibility", "width", "center")
 
-    def __post_init__(self) -> None:
-        require_finite("dip model", **vars(self))
-        if self.baseline < 0:
-            raise ValueError(f"baseline must not be negative: {self.baseline}")
-        if not 0.0 <= self.visibility <= 1.0:
+    def __init__(self, baseline: float, visibility: float, width: float, center: float) -> None:
+        require_finite("dip model", baseline=baseline, visibility=visibility, width=width, center=center)
+        if baseline < 0:
+            raise ValueError(f"baseline must not be negative: {baseline}")
+        if not 0.0 <= visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if self.width <= 0:
-            raise ValueError(f"width must be positive: width={self.width}")
+        if width <= 0:
+            raise ValueError(f"width must be positive: width={width}")
+        object.__setattr__(self, "baseline", baseline)  # counts/s far from the dip
+        object.__setattr__(self, "visibility", visibility)
+        object.__setattr__(self, "width", width)  # m
+        object.__setattr__(self, "center", center)  # m
 
     def rate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -24,10 +24,11 @@ Everything here is an immutable value; all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from ._checks import Frozen
 
 ELL_MAX = 5  # largest |OAM| quantum number tracked by the simulator
 
@@ -82,8 +83,7 @@ def _canonical(modes: Iterable[ModeLabel]) -> Occupation:
     return tuple(sorted(modes))
 
 
-@dataclass(frozen=True)
-class FockTerm:
+class FockTerm(NamedTuple):
     """One creation-operator monomial with its complex amplitude."""
 
     amplitude: complex
@@ -217,8 +217,7 @@ class PhotonicState:
         return "PhotonicState " + " + ".join(parts) + more
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Frozen):
     """A linear-optical element as a mode -> superposition-of-modes map.
 
     ``entries`` maps every supported input mode to its image, a tuple of
@@ -232,15 +231,16 @@ class LinearMap:
     path, so no element map is extended over the paths it does not touch.
     """
 
-    entries: Mapping[ModeLabel, tuple[tuple[ModeLabel, complex], ...]]
-    unitary: bool = False
-    paths: frozenset[str] = field(init=False, repr=False)
+    __slots__ = _fields = ("entries", "unitary", "paths")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    def __init__(
+        self, entries: Mapping[ModeLabel, tuple[tuple[ModeLabel, complex], ...]], unitary: bool = False
+    ) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
+        object.__setattr__(self, "unitary", unitary)
         images = (dst for image in self.entries.values() for dst, _ in image)
         object.__setattr__(self, "paths", frozenset(m[0] for m in (*self.entries, *images)))
-        if self.unitary and not self.check_unitary():
+        if unitary and not self.check_unitary():
             raise ValueError("map declared unitary but fails column orthonormality")
 
     def image(self, mode: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
@@ -319,7 +319,10 @@ def fold(chain: Sequence[LinearMap], modes: Iterable[ModeLabel]) -> LinearMap:
     support: applying the fold, which acts on every path of the chain, to a
     state occupying it raises UnsupportedMode, even where interference
     between the state's terms would have emptied that component before it
-    left.  The fold is unitary-flagged, and checked, when every map is.
+    left.  The fold is unitary-flagged when every map is, and not checked
+    again: each map was checked when it was built, a product of isometries
+    is one, and leaving a mode out drops a column, which keeps the others
+    orthonormal.
     """
     entries = {}
     for mode in modes:
@@ -332,7 +335,9 @@ def fold(chain: Sequence[LinearMap], modes: Iterable[ModeLabel]) -> LinearMap:
         except UnsupportedMode:
             continue
         entries[mode] = image
-    return _acting_on(LinearMap(entries, all(m.unitary for m in chain)), (p for m in chain for p in m.paths))
+    folded = _acting_on(LinearMap(entries), (p for m in chain for p in m.paths))
+    object.__setattr__(folded, "unitary", all(m.unitary for m in chain))
+    return folded
 
 
 def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:

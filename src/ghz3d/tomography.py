@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._checks import NoiseParams, _check_weights, require_finite  # noqa: F401 - NoiseParams is re-exported
+from ._checks import Frozen, NoiseParams, _check_weights, require_finite  # noqa: F401 - NoiseParams is re-exported
 
 DIM = 3
 N_PARTIES = 3
@@ -130,8 +129,7 @@ _KIND_PHASE = {"+": 1.0 + 0j, "-": -1.0 + 0j, "+i": 1j, "-i": -1j}
 _LOWERING_WEIGHTS = {"+": 0.5, "-": -0.5, "+i": -0.5j, "-i": 0.5j}
 
 
-@dataclass(frozen=True)
-class ProjKet:
+class ProjKet(NamedTuple):
     """Single-party measurement ket: |a> or (|a> + phase |b>)/sqrt(2)."""
 
     a: int
@@ -161,8 +159,7 @@ class ProjKet:
 AUX_IDX = -1  # sentinel index for the auxiliary mode
 
 
-@dataclass(frozen=True)
-class PlanSetting:
+class PlanSetting(Frozen):
     """One joint projective setting with its reconstruction weight.
 
     Its descriptors and its read-only operator vector are computed on first
@@ -170,8 +167,12 @@ class PlanSetting:
     them once per process.
     """
 
-    kets: tuple[ProjKet, ProjKet, ProjKet]
-    weight: complex = 0.0  # contribution to the element estimate
+    _fields = ("kets", "weight")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached properties
+
+    def __init__(self, kets: tuple[ProjKet, ProjKet, ProjKet], weight: complex = 0.0) -> None:
+        object.__setattr__(self, "kets", kets)
+        object.__setattr__(self, "weight", weight)  # contribution to the element estimate
 
     def descriptors(self) -> tuple[str, str, str]:
         return self._descriptors
@@ -288,18 +289,18 @@ def build_witness_plan() -> tuple[PlanSetting, ...]:
     return tuple(plan)
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(Frozen):
     """Simulated or measured counts for one projective setting.  Every
     setting is measured for the same duration; the estimator assumes it."""
 
-    descriptors: tuple[str, str, str]
-    counts: float
+    __slots__ = _fields = ("descriptors", "counts")
 
-    def __post_init__(self) -> None:
-        require_finite("count record", counts=self.counts)
-        if self.counts < 0:
+    def __init__(self, descriptors: tuple[str, str, str], counts: float) -> None:
+        require_finite("count record", counts=counts)
+        if counts < 0:
             raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "descriptors", descriptors)
+        object.__setattr__(self, "counts", counts)
 
 
 def _is_int(value: object) -> bool:

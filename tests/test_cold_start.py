@@ -21,22 +21,23 @@ from test_golden import ARTIFACTS, GOLDEN, MERMIN_NOISE, _sha256
 SRC = Path(ghz3d.__file__).parents[1]
 PIPELINE = {"ghz3d.states", "ghz3d.elements", "ghz3d.experiment"}
 
-#: the modules each subcommand must leave unloaded
+#: the modules each subcommand must leave unloaded: none loads ``dataclasses``,
+#: and those without numpy, which imports it, load no ``inspect`` either
 NOT_LOADED = {
-    "counts": {"numpy", *PIPELINE, "ghz3d.tomography", "ghz3d.spectral"},
-    "hom": {"ghz3d.states", "ghz3d.experiment", "ghz3d.tomography"},
-    "witness": PIPELINE,
-    "mermin": {"numpy", *PIPELINE, "ghz3d.tomography"},
-    "simulate": {"numpy", "ghz3d.tomography", "ghz3d.spectral"},
+    "counts": {"numpy", "dataclasses", "inspect", *PIPELINE, "ghz3d.tomography", "ghz3d.spectral"},
+    "hom": {"dataclasses", "ghz3d.states", "ghz3d.experiment", "ghz3d.tomography"},
+    "witness": {"dataclasses", *PIPELINE},
+    "mermin": {"numpy", "dataclasses", "inspect", *PIPELINE, "ghz3d.tomography"},
+    "simulate": {"numpy", "dataclasses", "inspect", "ghz3d.tomography", "ghz3d.spectral"},
 }
 
 RUN_CLI = "import json, sys; from ghz3d.cli import main; code = main(sys.argv[1:]); print(json.dumps(sorted(sys.modules))); sys.exit(code)"
 
 
 def _fresh_modules(code: str, *args: str) -> set[str]:
-    """The ``numpy``, ``numpy.ma`` and ``ghz3d`` modules loaded after ``code``
-    ran in a new interpreter; ``code`` prints ``sorted(sys.modules)`` as its
-    last line."""
+    """The ``numpy``, ``numpy.ma``, ``dataclasses``, ``inspect`` and ``ghz3d``
+    modules loaded after ``code`` ran in a new interpreter; ``code`` prints
+    ``sorted(sys.modules)`` as its last line."""
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -46,7 +47,8 @@ def _fresh_modules(code: str, *args: str) -> set[str]:
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    return {m for m in loaded if m in ("numpy", "numpy.ma", "ghz3d") or m.startswith("ghz3d.")}
+    wanted = ("numpy", "numpy.ma", "dataclasses", "inspect", "ghz3d")
+    return {m for m in loaded if m in wanted or m.startswith("ghz3d.")}
 
 
 def test_import_ghz3d_loads_no_submodule():
@@ -55,7 +57,7 @@ def test_import_ghz3d_loads_no_submodule():
 
 def test_import_experiment_loads_no_numpy():
     loaded = _fresh_modules("import json, sys, ghz3d.experiment; print(json.dumps(sorted(sys.modules)))")
-    assert "ghz3d.elements" in loaded and "numpy" not in loaded
+    assert "ghz3d.elements" in loaded and not loaded & {"numpy", "dataclasses", "inspect"}
 
 
 BUILD_LOCAL_UNITARIES = """

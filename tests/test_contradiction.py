@@ -1,6 +1,5 @@
 """GHZ contradiction: operators, concurrent set, exact enumeration, noise."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -333,7 +332,7 @@ def test_mermin_operator_is_built_once_per_set_and_read_only(ops):
     with pytest.raises(ValueError, match="read-only"):
         o[0, 1] = 0.0
     # a set is keyed by identity: a copy gets its own array
-    copy = dataclasses.replace(ops)
+    copy = ct.OperatorSet(ops.x, ops.y, ops.w, ops.z)
     assert copy != ops and ct.mermin_operator(copy) is not o
 
 

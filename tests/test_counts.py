@@ -63,6 +63,7 @@ def test_accidental_pair_bilinear_and_rate_scaling():
         assert cnt.accidental_pair(k * s1, s2, tau, rate) == pytest.approx(k * base, rel=1e-12)
         assert cnt.accidental_pair(s1, k * s2, tau, rate) == pytest.approx(k * base, rel=1e-12)
         assert cnt.accidental_pair(s1, s2, tau, k * rate) == pytest.approx(base / k, rel=1e-12)
+        assert cnt.accidental_pair(s1, s2, k * tau, rate) == pytest.approx(base / k**2, rel=1e-12)
 
 
 def test_accidental_fourfold_uniform():

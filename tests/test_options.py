@@ -1,9 +1,9 @@
 """Every settable default in the package, recorded so that a new option shows.
 
-A defaulted function parameter or a defaulted dataclass init field is a knob
-a caller may turn.  The sets below are what the package offers; adding,
-renaming or removing one makes this test fail until the set is updated in
-the same change, on purpose.
+A defaulted function parameter, ``__init__`` ones included, or a defaulted
+``NamedTuple`` field is a knob a caller may turn.  The sets below are what
+the package offers; adding, renaming or removing one makes this test fail
+until the set is updated in the same change, on purpose.
 """
 
 import ast
@@ -16,7 +16,23 @@ PACKAGE = Path(ghz3d.__file__).parent
 DEFAULTED_PARAMETERS = {
     "cli.main(argv)",
     "contradiction.measurement_protocol(ops)",
+    "counts.RateModel.__init__(pair_rate)",
+    "counts.RateModel.__init__(pairs)",
+    "counts.RateModel.__init__(singles)",
+    "elements.ElementSpec.__init__(params)",
+    "elements.SorterConvention.__init__(odd_swaps)",
+    "elements.SorterConvention.__init__(swap_phase)",
     "elements.parity_sorter(convention)",
+    "experiment.PipelineConfig.__init__(cmp_ket)",
+    "experiment.PipelineConfig.__init__(elements_override)",
+    "experiment.PipelineConfig.__init__(include_c2)",
+    "experiment.PipelineConfig.__init__(mirrors)",
+    "experiment.PipelineConfig.__init__(overlap)",
+    "experiment.PipelineConfig.__init__(restrict_detection)",
+    "experiment.PipelineConfig.__init__(sorter)",
+    "experiment.PipelineConfig.__init__(source1)",
+    "experiment.PipelineConfig.__init__(source2)",
+    "experiment.SourceAmplitudes.__init__(c2)",
     "experiment.SourceAmplitudes.from_ratios(c1_over_c2)",
     "experiment.ghz_relabel_map(tol)",
     "experiment.spdc_state(include_c2)",
@@ -24,7 +40,9 @@ DEFAULTED_PARAMETERS = {
     "spectral.p4_limit(order)",
     "spectral.p4_numeric(order)",
     "spectral.visibility_numeric(order)",
+    "states.LinearMap.__init__(unitary)",
     "states.ModeLabel.__new__(tag)",
+    "tomography.PlanSetting.__init__(weight)",
     "tomography.estimate_fidelity(accidentals)",
     "tomography.estimate_fidelity(n_resamples)",
     "tomography.estimate_fidelity(seed)",
@@ -35,35 +53,9 @@ DEFAULTED_PARAMETERS = {
 }
 
 DEFAULTED_INIT_FIELDS = {
-    "counts.RateModel.pair_rate",
-    "counts.RateModel.pairs",
-    "counts.RateModel.singles",
-    "elements.ElementSpec.params",
-    "elements.SorterConvention.odd_swaps",
-    "elements.SorterConvention.swap_phase",
-    "experiment.PipelineConfig.cmp_ket",
-    "experiment.PipelineConfig.elements_override",
-    "experiment.PipelineConfig.include_c2",
-    "experiment.PipelineConfig.mirrors",
-    "experiment.PipelineConfig.overlap",
-    "experiment.PipelineConfig.restrict_detection",
-    "experiment.PipelineConfig.sorter",
-    "experiment.PipelineConfig.source1",
-    "experiment.PipelineConfig.source2",
-    "experiment.SourceAmplitudes.c2",
-    "states.LinearMap.unitary",
-    "tomography.PlanSetting.weight",
     "tomography.ProjKet.b",
     "tomography.ProjKet.kind",
 }
-
-
-def _not_init(value: ast.expr) -> bool:
-    """Whether a class-level default is ``field(..., init=False)``."""
-    return isinstance(value, ast.Call) and any(
-        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
-        for kw in value.keywords
-    )
 
 
 def _defaults() -> tuple[set[str], set[str]]:
@@ -81,11 +73,7 @@ def _defaults() -> tuple[set[str], set[str]]:
                 visit(child, f"{prefix}.{child.name}")
             elif isinstance(child, ast.ClassDef):
                 for stmt in child.body:
-                    if (
-                        isinstance(stmt, ast.AnnAssign)
-                        and stmt.value is not None
-                        and not _not_init(stmt.value)
-                    ):
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                         fields.add(f"{prefix}.{child.name}.{stmt.target.id}")
                 visit(child, f"{prefix}.{child.name}")
             else:

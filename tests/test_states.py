@@ -547,7 +547,7 @@ def unless_unsupported(f):
 @given(states(), st.lists(elements(), max_size=5))
 def test_fold_is_the_chain_applied_in_turn(state, chain):
     folded = fold(chain, CHAIN_MODES)
-    assert folded.unitary
+    assert folded.unitary and folded.check_unitary()  # fold flags it without checking
     in_turn = unless_unsupported(lambda: apply_in_turn(chain, state))
     once = unless_unsupported(lambda: apply(folded, state))
     if in_turn is None:
@@ -612,11 +612,12 @@ def test_one_pass_detection_is_postselect_of_apply(state, chain, detector_paths)
     for m in (fold(chain, CHAIN_MODES), *chain):
         once = detection(lambda: ghz3d.states._detect(m, state, detector_paths))
         assert once == detection(lambda: postselect(apply(m, state), detector_paths))
-    # postselect normalizes once, as normalize() would
+    # postselect normalizes once, as normalize() would: by sqrt(p), which is norm() bit for bit
     selected = {occ: a for occ, a in state._terms.items() if sorted(m.path for m in occ) == list(detector_paths)}
     if selected:
-        by_norm = PhotonicState(selected).normalize(), PhotonicState(selected).norm() ** 2
-        assert detection(lambda: postselect(state, detector_paths)) == detection(lambda: by_norm)
+        conditional, p = postselect(state, detector_paths)
+        by_norm = PhotonicState(selected).normalize(), PhotonicState(selected).norm()
+        assert detection(lambda: (conditional, math.sqrt(p))) == detection(lambda: by_norm)
 
 
 def test_one_pass_detection_sums_as_apply_does():

@@ -158,6 +158,10 @@ def test_witness_bound_values():
     assert tm.witness_bound(prod) == pytest.approx(1.0)
     w_vec, _ = tm.ideal_ghz(tm.NoiseParams.table1().weights)
     assert tm.witness_bound(w_vec) == pytest.approx(0.772, abs=1e-3)
+    # |0> x (sqrt(.5)|00> + sqrt(.3)|11> + sqrt(.2)|22>): the bipartition bounds are 1, 0.8 and 0.8, the largest counts
+    uneven = np.zeros(27, dtype=complex)
+    uneven[[0, 4, 8]] = np.sqrt([0.5, 0.3, 0.2])
+    assert tm.witness_bound(uneven) == pytest.approx(1.0)
 
 
 def test_no_lower_srv_state_beats_the_bound():

@@ -1,4 +1,4 @@
-"""Every numeric field of the input dataclasses is checked at construction.
+"""Every numeric field of the input value types is checked at construction.
 
 Whatever floats are drawn (NaN, +-inf, negatives, valid values), a
 constructor either builds an object whose numeric fields are all finite or
@@ -27,7 +27,7 @@ numbers = st.one_of(
 
 
 def numeric_values(obj):
-    for value in vars(obj).values():
+    for value in (getattr(obj, name) for name in obj._fields):
         if isinstance(value, float):
             yield value
         elif isinstance(value, tuple):
