@@ -16,9 +16,12 @@ Conventions declared once, here:
   and swap phase are constructor parameters since four conventions are
   physically sensible.
 
-The mirror, SPP, beam splitter and parity sorter maps depend only on their
-paths and sorter convention, so each is built and checked
-once per process and shared from then on.
+Every factory map treats every tag alike: the image of (p, l, t) is that of
+(p, l, 0) with each tag set to t, in the same order, and the support is the
+same at every tag.  So a fold of them is folded at tag 0 only, and one
+expansion serves both runs.  The mirror, SPP, beam splitter and parity sorter
+maps depend only on their paths and sorter convention, so each is built and
+checked once per process and shared from then on.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import functools
 import math
 import numbers
 import sys
+from bisect import bisect_left
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -35,7 +40,11 @@ from .states import (
     ELL_MAX,
     LinearMap,
     ModeLabel,
+    Occupation,
+    PRUNE_EPS,
     PhotonicState,
+    _checked,
+    _norm,
 )
 
 ELLS = tuple(range(-ELL_MAX, ELL_MAX + 1))  # the tracked OAM window
@@ -214,31 +223,45 @@ def project(proj: Projector1, state: PhotonicState) -> tuple[PhotonicState, floa
     Returns the conditional state and the projection probability, taking
     the norm once.
     """
-    projected = _projection(proj, state)
-    n = projected.norm()  # 0 only for the zero state: every amplitude exceeds PRUNE_EPS
-    return (projected.scale(1.0 / n), n**2) if n else (projected, 0.0)
+    projected = object.__new__(PhotonicState)
+    projected._terms, p = _projected(proj, state._terms)  # checked there
+    return projected, p
 
 
-def _projection(proj: Projector1, state: PhotonicState) -> PhotonicState:
-    """|k><k| on the projector path applied to ``state``, not renormalized."""
+def _projected(proj: Projector1, terms: dict[Occupation, complex]) -> tuple[dict[Occupation, complex], float]:
+    """``project`` on a state's term dict: the checked projection scaled by
+    the inverse of its norm with ``scale``'s arithmetic, and the squared norm."""
+    projected = _checked(_projection(proj, terms))
+    n = _norm(projected)  # 0 only for no terms: every amplitude exceeds PRUNE_EPS
+    factor = 1.0 / n if n else 0.0
+    # finite and homogeneous, as projected passed _checked: a second check only prunes
+    return {occ: b for occ, a in projected.items() if abs(b := a * factor) > PRUNE_EPS}, n**2
+
+
+def _projection(proj: Projector1, terms: dict[Occupation, complex]) -> dict[Occupation, complex]:
+    """|k><k| on the projector path applied to a term dict, unchecked and not
+    renormalized; the photon replaced is alone on its path, so keys stay sorted."""
     path = proj.path
+    lo, hi = (path,), (path, math.inf)  # the modes on the path sort between these
     coeffs = dict(proj.ket)
-    out: dict = {}
+    overlapped = []  # (occupation, amplitude, index of the path's one photon) of each term the ket overlaps
+    for occupation, amplitude in terms.items():
+        i = bisect_left(occupation, lo)
+        if bisect_left(occupation, hi, i) == i + 1 and coeffs.get(occupation[i][1]):
+            overlapped.append((occupation, amplitude, i))
+    kets: dict[int, list[tuple[ModeLabel, complex]]] = {}  # per tag: each ket mode with its coefficient
+    out: dict[Occupation, complex] = {}
     # in term order: the last bits of the sums below depend on it
-    for occupation, amplitude in sorted(state._terms.items()):
-        in_path = [m for m in occupation if m[0] == path]
-        if len(in_path) != 1:
-            continue
-        _, oam, tag = in_path[0]
-        overlap = coeffs.get(oam)
-        if not overlap:
-            continue
-        rest = tuple(m for m in occupation if m[0] != path)
-        amp = amplitude * overlap.conjugate()
-        for ell, c in proj.ket:
-            key = tuple(sorted(rest + (ModeLabel(path, ell, tag),)))
+    for occupation, amplitude, i in sorted(overlapped, key=itemgetter(0)):
+        _, oam, tag = occupation[i]
+        ket = kets.get(tag)
+        if ket is None:
+            ket = kets[tag] = [(ModeLabel(path, ell, tag), c) for ell, c in proj.ket]
+        amp = amplitude * coeffs[oam].conjugate()
+        for mode, c in ket:
+            key = occupation[:i] + (mode,) + occupation[i + 1:]
             out[key] = out.get(key, 0.0) + amp * c
-    return PhotonicState._trusted(out)
+    return out
 
 
 ELEMENT_KINDS = (
@@ -328,6 +351,11 @@ def _oam_keys(name: str, mapping: Mapping[object, complex]) -> dict[int, complex
     return out
 
 
+def _sorter_params(params: Mapping[str, object]) -> tuple[object, complex]:
+    """The (odd_swaps, swap_phase) of the convention a PARITY_SORTER spec's ``params`` name."""
+    return params.get("odd_swaps", True), complex(params.get("swap_phase", 1.0))
+
+
 def build_element(spec: ElementSpec) -> LinearMap:
     """Instantiate the LinearMap described by an ElementSpec."""
     p = spec.params
@@ -338,11 +366,7 @@ def build_element(spec: ElementSpec) -> LinearMap:
     if spec.kind == "BEAM_SPLITTER":
         return beam_splitter(spec.paths[0], spec.paths[1])
     if spec.kind == "PARITY_SORTER":
-        conv = SorterConvention(
-            odd_swaps=p.get("odd_swaps", True),
-            swap_phase=complex(p.get("swap_phase", 1.0)),
-        )
-        return parity_sorter(spec.paths[0], spec.paths[1], conv)
+        return parity_sorter(spec.paths[0], spec.paths[1], SorterConvention(*_sorter_params(p)))
     if spec.kind == "LOCAL_UNITARY":
         basis = tuple(_oam(f"basis[{i}]", ell) for i, ell in enumerate(p["basis"]))
         return local_unitary(spec.paths[0], p["matrix"], basis)

@@ -45,8 +45,10 @@ from .elements import (
     Projector1,
     SorterConvention,
     _oam_keys,
-    _projection,
+    _projected,
+    _sorter_params,
     build_element,
+    parity_sorter,
     project,
 )
 from .states import (
@@ -55,6 +57,8 @@ from .states import (
     Occupation,
     PhotonicState,
     _detect,
+    _detect_runs,
+    _retagged,
     fold,
     tensor,
 )
@@ -94,15 +98,15 @@ C2_PLUS, C2_MINUS = "c2+", "c2-"
 PAIR_ELLS = {EVEN: (0, 0), ODD_PLUS: (1, -1), ODD_MINUS: (-1, 1), C2_PLUS: (2, -2), C2_MINUS: (-2, 2)}
 #: every OAM value a source photon can carry
 SOURCE_ELLS = tuple(sorted({ell for pair in PAIR_ELLS.values() for ell in pair}))
+#: the tag a run gives each photon, by its source's paths, and the modes the equal-tag run's photons occupy
+_EQUAL_RETAG, _DISTINCT_RETAG = (
+    {path: tag for paths, tag in zip((SOURCE1_PATHS, SOURCE2_PATHS), tags) for path in paths}
+    for tags in (EQUAL_TAGS, DISTINCT_TAGS)
+)
+_EQUAL_MODES = frozenset(ModeLabel(path, ell, tag) for path, tag in _EQUAL_RETAG.items() for ell in SOURCE_ELLS)
 #: every mode a photon of either source occupies in either run: its paths x
 #: SOURCE_ELLS x its tag in EQUAL_TAGS and in DISTINCT_TAGS
-SOURCE_MODES = frozenset(
-    ModeLabel(path, ell, tags[i])
-    for tags in (EQUAL_TAGS, DISTINCT_TAGS)
-    for i, paths in enumerate((SOURCE1_PATHS, SOURCE2_PATHS))
-    for path in paths
-    for ell in SOURCE_ELLS
-)
+SOURCE_MODES = _EQUAL_MODES | {ModeLabel(path, ell, _DISTINCT_RETAG[path]) for path, ell, _ in _EQUAL_MODES}
 
 
 class SourceAmplitudes(Frozen):
@@ -224,8 +228,8 @@ class PipelineConfig(Frozen):
         if lost:
             where = ", ".join(f"{path} l={ell}" for path, ell in sorted(lost))
             raise ValueError(f"pipeline.elements push a photon out of the tracked OAM window: from {where}")
-        detected = {tags: _detected(self, _sources(self, tags)) for tags in (EQUAL_TAGS, DISTINCT_TAGS)}
-        object.__setattr__(self, "detected", MappingProxyType(detected))
+        detected = zip((EQUAL_TAGS, DISTINCT_TAGS), _detected_runs(self, _sources(self, EQUAL_TAGS)))
+        object.__setattr__(self, "detected", MappingProxyType(dict(detected)))
 
 
 def spdc_state(
@@ -257,26 +261,30 @@ def pipeline_elements(cfg: PipelineConfig) -> tuple[ElementSpec, ...]:
 
     def add_mirror(station: str, path: str) -> None:
         if cfg.mirrors.get(station, 0) % 2:
-            chain.append(ElementSpec("MIRROR", (path,)))
+            chain.append(_MIRROR_SPECS[path])
 
     add_mirror("a_pre_spp", "A")
     add_mirror("b_pre_sorter", "B")
     add_mirror("c_pre_sorter", "C")
     add_mirror("d", "D")
-    chain.append(
-        ElementSpec(
-            "PARITY_SORTER",
-            ("B", "C"),
-            {"odd_swaps": cfg.sorter.odd_swaps, "swap_phase": cfg.sorter.swap_phase},
-        )
-    )
+    chain.append(_sorter_spec(cfg.sorter))
     add_mirror("b_post_sorter", "B")
     add_mirror("c_post_sorter", "C")
-    chain.append(ElementSpec("SPP_REFLECT", ("A",)))
-    chain.append(ElementSpec("BEAM_SPLITTER", ("A", "B")))
+    chain.append(_SPP_SPEC)
+    chain.append(_BS_SPEC)
     add_mirror("a_post_bs", "A")
     add_mirror("b_post_bs", "B")
     return tuple(chain)
+
+
+_MIRROR_SPECS = {path: ElementSpec("MIRROR", (path,)) for path in DETECTOR_PATHS}
+_SPP_SPEC, _BS_SPEC = ElementSpec("SPP_REFLECT", ("A",)), ElementSpec("BEAM_SPLITTER", ("A", "B"))
+
+
+@functools.lru_cache(maxsize=64)
+def _sorter_spec(sorter: SorterConvention) -> ElementSpec:
+    """The multi-port's sorter spec, built once per convention."""
+    return ElementSpec("PARITY_SORTER", ("B", "C"), {"odd_swaps": sorter.odd_swaps, "swap_phase": sorter.swap_phase})
 
 
 def _compile_multiport(
@@ -289,7 +297,8 @@ def _compile_multiport(
     of the OAM window is left out of the folded map's support, so occupying
     it raises UnsupportedMode; ``PipelineConfig`` rejects a chain that leaves
     out a mode its runs occupy.  An element that cannot be built is a
-    ValueError naming it.
+    ValueError naming it.  Only the equal-tag run's modes go through the
+    chain; the other run's images are theirs retagged.
     """
     chain = []
     for i, spec in enumerate(pipeline_elements(cfg)):
@@ -298,7 +307,7 @@ def _compile_multiport(
         except (KeyError, TypeError, ValueError) as exc:
             where = f"pipeline element {i} ({spec.kind} on {', '.join(spec.paths)})"
             raise ValueError(f"{where}: {exc}") from None
-    return tuple(chain), fold([m for _, m in chain], SOURCE_MODES)
+    return tuple(chain), _retagged(fold([m for _, m in chain], _EQUAL_MODES), _DISTINCT_RETAG)
 
 
 def _sources(cfg: PipelineConfig, tags: tuple[int, int]) -> PhotonicState:
@@ -321,6 +330,12 @@ def _detected(cfg: PipelineConfig, state: PhotonicState) -> tuple[PhotonicState,
     per detector, in one pass that builds only the selected terms and
     normalizes them once."""
     return _detect(cfg.multiport_map, state, DETECTOR_PATHS)
+
+
+def _detected_runs(cfg: PipelineConfig, state: PhotonicState) -> list[tuple[PhotonicState, float]]:
+    """``_detected`` of an equal-tag source state, and of the same state with
+    each photon at its source's DISTINCT_TAGS entry, from one expansion."""
+    return _detect_runs(cfg.multiport_map, state, DETECTOR_PATHS, (_DISTINCT_RETAG,))
 
 
 class RelabelMap(NamedTuple):
@@ -364,12 +379,11 @@ def factor_single_path(
     factors come back normalized; the global phase stays on the rest factor.
     """
     groups: dict[tuple[ModeLabel, ...], dict[ModeLabel, complex]] = {}
-    for term in state.terms:
-        own = tuple(m for m in term.occupation if m.path == path)
-        rest = tuple(m for m in term.occupation if m.path != path)
+    for occ, amp in sorted(state._terms.items()):  # in term order
+        own = tuple(m for m in occ if m[0] == path)
         if len(own) != 1:
             return None
-        groups.setdefault(rest, {})[own[0]] = term.amplitude
+        groups.setdefault(tuple(m for m in occ if m[0] != path), {})[own[0]] = amp
     rests = sorted(groups)
     ref = groups[rests[0]]
     ref_norm = math.sqrt(sum(abs(a) ** 2 for a in ref.values()))
@@ -529,8 +543,15 @@ class TermClassification(NamedTuple):
 
 def _sorter_parity_blocked(cfg: PipelineConfig, kinds: tuple[str, str]) -> bool:
     """True when the first sorter alone (mirrors keep l's parity) already precludes one photon per path."""
-    sorter = next((m for spec, m in cfg.multiport if spec.kind == "PARITY_SORTER"), LinearMap({}))
-    return _detect(sorter, _combo(EQUAL_TAGS, kinds), DETECTOR_PATHS)[1] == 0.0
+    spec = next((spec for spec, _ in cfg.multiport if spec.kind == "PARITY_SORTER"), None)
+    return _sorter_verdict(None if spec is None else (spec.paths, *_sorter_params(spec.params)), kinds)
+
+
+@functools.lru_cache(maxsize=256)
+def _sorter_verdict(sorter: tuple | None, kinds: tuple[str, str]) -> bool:
+    """``_sorter_parity_blocked`` for a sorter's (paths, odd_swaps, swap_phase), or for none."""
+    m = LinearMap({}) if sorter is None else parity_sorter(*sorter[0], SorterConvention(*sorter[1:]))
+    return _detect(m, _combo(EQUAL_TAGS, kinds), DETECTOR_PATHS)[1] == 0.0
 
 
 def classify_terms(cfg: PipelineConfig) -> TermClassification:
@@ -548,9 +569,9 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
     for k1 in TERM_KINDS:
         for k2 in TERM_KINDS:
             kinds = (k1, k2)
-            equal = _detected(cfg, _combo(EQUAL_TAGS, kinds))
+            equal, distinct = _detected_runs(cfg, _combo(EQUAL_TAGS, kinds))
             p_ind = _projected_fourfold(cmp, equal)
-            p_dis = _projected_fourfold(cmp, _detected(cfg, _combo(DISTINCT_TAGS, kinds)))
+            p_dis = _projected_fourfold(cmp, distinct)
             hom = abs(p_ind - p_dis) > 1e-12
             if p_ind > 1e-12:
                 verdict = SURVIVES
@@ -567,17 +588,16 @@ def classify_terms(cfg: PipelineConfig) -> TermClassification:
 
 def _projected_fourfold(projection: Mapping[str, Projector1], detected: tuple[PhotonicState, float]) -> float:
     """Four-fold probability of a detected state after the given projectors,
-    in detector order; the state after the last one is not normalized."""
+    in detector order, with ``project``'s arithmetic on term dicts."""
     state, p = detected
-    projectors = [projection[path] for path in DETECTOR_PATHS if path in projection]
-    for proj in projectors[:-1]:
-        if p == 0.0:
-            return 0.0
-        state, p_proj = project(proj, state)
-        p *= p_proj
-    if p == 0.0 or not projectors:
-        return p
-    return p * _projection(projectors[-1], state).norm() ** 2
+    terms = state._terms
+    for path in DETECTOR_PATHS:
+        if path in projection:
+            if p == 0.0:
+                return 0.0
+            terms, p_proj = _projected(projection[path], terms)
+            p *= p_proj
+    return p
 
 
 def hom_scan(

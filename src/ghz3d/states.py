@@ -13,16 +13,17 @@ One pruning rule holds everywhere: a state never holds an amplitude with
 ``|a| <= PRUNE_EPS``; every :class:`PhotonicState` is built through
 ``_checked``, which drops them.
 
-Detection is one pass (:func:`_detect`): a state is postselected while it is
-expanded through a map, so only the selected terms are built; the same pass
-checks and prunes them once and normalizes them once, by the square root of
-the probability they sum to, without going through :func:`postselect`.
+Detection is one pass (:func:`_detect_runs`): a state, and any retagging of
+it, is postselected while it is expanded through a map, each selected product
+formed once for all of them; each one's sums are checked, pruned and normalized
+once, by the root of the probability they sum to, without :func:`postselect`.
 
 Everything here is an immutable value; all operations are pure functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import itemgetter
 from types import MappingProxyType
@@ -83,6 +84,12 @@ def _canonical(modes: Iterable[ModeLabel]) -> Occupation:
     return tuple(sorted(modes))
 
 
+@functools.lru_cache(maxsize=4096, typed=True)  # typed: a plain tuple equal to a mode keeps its type
+def _tagged(mode: ModeLabel, tags: tuple[int, ...]) -> tuple[ModeLabel, ...]:
+    """``mode``, then ``mode`` at each of ``tags``; built once per process."""
+    return (mode, *(tuple.__new__(ModeLabel, (mode[0], mode[1], tag)) for tag in tags))
+
+
 class FockTerm(NamedTuple):
     """One creation-operator monomial with its complex amplitude."""
 
@@ -119,6 +126,11 @@ def _checked(terms: dict[Occupation, complex]) -> dict[Occupation, complex]:
         if len(sizes) > 1:
             raise ValueError(f"inhomogeneous photon numbers: {sorted(sizes)}")
     return {occ: a for occ, a in terms.items() if abs(a) > PRUNE_EPS}
+
+
+def _norm(terms: dict[Occupation, complex]) -> float:
+    """Physical (Fock) norm of a term dict."""
+    return math.sqrt(sum(abs(amp) ** 2 * _occupation_factorial(occ) for occ, amp in terms.items()))
 
 
 class PhotonicState:
@@ -190,9 +202,7 @@ class PhotonicState:
 
     def norm(self) -> float:
         """Physical (Fock) norm of the state."""
-        return math.sqrt(
-            sum(abs(amp) ** 2 * _occupation_factorial(occ) for occ, amp in self._terms.items())
-        )
+        return _norm(self._terms)
 
     def normalize(self) -> "PhotonicState":
         n = self.norm()
@@ -276,22 +286,25 @@ def extend_identity(m: LinearMap, modes: Iterable[ModeLabel]) -> LinearMap:
     adding identity on an image mode would destroy injectivity (and the
     unitary flag).  Such modes stay unsupported and occupying them raises
     UnsupportedMode downstream, which keeps truncation errors loud.
-    Each added column is a unit vector on a mode no other column hits, so a
-    unitary map stays column-orthonormal.  The extension acts on the paths
-    of ``m`` and of ``modes``.
+    Each added column is a unit vector on a mode no other column hits, so
+    the unitary flag of ``m`` holds unchecked.  The extension acts on the
+    paths of ``m`` and of ``modes``.
     """
     entries = dict(m.entries)
     image = {dst for img in m.entries.values() for dst, _ in img}
     for mode in modes:
         if mode not in entries and mode not in image:
             entries[mode] = ((mode, 1.0),)
-    return _acting_on(LinearMap(entries, m.unitary), m.paths)
+    return _trusted_map(entries, m.paths.union(mode[0] for mode in entries), m.unitary)
 
 
-def _acting_on(m: LinearMap, paths: Iterable[str]) -> LinearMap:
-    """``m``, just built, acting also on ``paths``: a mode there outside its
-    support raises UnsupportedMode instead of passing unchanged."""
-    object.__setattr__(m, "paths", m.paths.union(paths))
+def _trusted_map(entries: dict, paths: frozenset[str], unitary: bool) -> LinearMap:
+    """A map on ``entries`` (kept, not copied) acting on ``paths``, flagged ``unitary``
+    unchecked: the caller proved the flag, and that ``paths`` covers support and image."""
+    m = object.__new__(LinearMap)
+    object.__setattr__(m, "entries", MappingProxyType(entries))
+    object.__setattr__(m, "unitary", unitary)
+    object.__setattr__(m, "paths", paths)
     return m
 
 
@@ -302,6 +315,9 @@ def _push(
 
     Raises UnsupportedMode if the superposition holds a mode ``m`` does not take.
     """
+    if len(image) == 1 and len(step := m.image(image[0][0])) == 1:  # the sum below, without its dict
+        c = 0.0 + image[0][1] * step[0][1]
+        return ((step[0][0], c),) if c != 0 else ()
     acc: dict[ModeLabel, complex] = {}
     for mid, c1 in image:
         for dst, c2 in m.image(mid):
@@ -331,13 +347,25 @@ def fold(chain: Sequence[LinearMap], modes: Iterable[ModeLabel]) -> LinearMap:
             for m in chain:
                 if not m.paths.isdisjoint(occupied):
                     image = _push(image, m)
-                    occupied = {dst[0] for dst, _ in image}
+                    occupied = {image[0][0][0]} if len(image) == 1 else {dst[0] for dst, _ in image}
         except UnsupportedMode:
             continue
         entries[mode] = image
-    folded = _acting_on(LinearMap(entries), (p for m in chain for p in m.paths))
-    object.__setattr__(folded, "unitary", all(m.unitary for m in chain))
-    return folded
+    # an image lies on its mode's path or on the paths of the maps it met
+    paths = frozenset(mode[0] for mode in entries).union(*(m.paths for m in chain))
+    return _trusted_map(entries, paths, all(m.unitary for m in chain))
+
+
+def _retagged(m: LinearMap, tags: Mapping[str, int]) -> LinearMap:
+    """``m`` with each entry copied to tag ``tags[path]`` of its input path,
+    every image mode at that tag too.  For a fold of maps that treat every
+    tag alike this is the fold of the retagged modes, bit for bit.  A copy
+    lies on other output modes than its original: the unitary flag holds."""
+    entries = dict(m.entries)
+    for mode, image in m.entries.items():
+        tag = (tags[mode[0]],)
+        entries[_tagged(mode, tag)[1]] = tuple((_tagged(dst, tag)[1], c) for dst, c in image)
+    return _trusted_map(entries, m.paths, m.unitary)
 
 
 def apply(m: LinearMap, state: PhotonicState) -> PhotonicState:
@@ -402,37 +430,52 @@ def postselect(
 
 
 def _detect(m: LinearMap, state: PhotonicState, detector_paths: Iterable[str]) -> tuple[PhotonicState, float]:
-    """``postselect(apply(m, state), detector_paths)``, bit for bit, in one pass.
+    """``postselect(apply(m, state), detector_paths)``, bit for bit, in one
+    pass: :func:`_detect_runs` with no retag."""
+    return _detect_runs(m, state, detector_paths, ())[0]
 
-    A partial product is dropped as soon as a photon lands off the detector
-    paths or on an occupied one; the others are summed in ``apply``'s order.
-    Every mode is still looked up, so UnsupportedMode is raised where
-    ``apply`` raises it; a non-finite amplitude on a dropped term goes unseen.
-    Selection and normalization happen here too: the sums are checked and
-    pruned once, then scaled with ``scale``'s arithmetic into one state.
-    """
+
+def _detect_runs(
+    m: LinearMap, state: PhotonicState, detector_paths: Iterable[str], retags: Sequence[Mapping[str, int]]
+) -> list[tuple[PhotonicState, float]]:
+    """:func:`_detect` of ``state``, then of ``state`` with each photon at the
+    tag each retag maps its input path to, from one expansion.
+
+    A partial product is dropped once a photon lands off the detector paths or
+    on an occupied one; the others are summed in ``apply``'s order under every
+    run's key, then checked, pruned and scaled with ``scale``'s arithmetic.
+    Every mode is looked up, so UnsupportedMode is raised where ``apply`` does;
+    a non-finite amplitude on a dropped term goes unseen.  A retagged run gets
+    its own detection's bits when ``m`` treats every tag alike, as factory maps
+    and their folds do."""
     wanted = frozenset(detector_paths)
-    out: dict[Occupation, complex] = {}
+    outs: list[dict[Occupation, complex]] = [{} for _ in range(len(retags) + 1)]
+    images: dict[ModeLabel, list] = {}  # each mode's image on the detector paths, in every run
     for occ, amp in state._terms.items():
-        partial = [((), (), amp)]  # (modes, their paths, amplitude)
+        partial = [((), (), amp)]  # (each photon's mode in every run, their paths, amplitude)
         for mode in occ:
-            image = [(dst, dst[0], c) for dst, c in m.image(mode) if dst[0] in wanted]
+            image = images.get(mode)
+            if image is None:
+                tags = tuple([retag[mode[0]] for retag in retags])
+                image = images[mode] = [(_tagged(dst, tags), dst[0], c) for dst, c in m.image(mode) if dst[0] in wanted]
             partial = [
-                (modes + (dst,), paths + (p,), a * c)
-                for modes, paths, a in partial for dst, p, c in image if p not in paths
+                (modes + (dsts,), paths + (p,), a * c)
+                for modes, paths, a in partial for dsts, p, c in image if p not in paths
             ]
         for modes, _, a in partial:
-            key = _canonical(modes)
-            out[key] = out.get(key, 0.0) + a
-    # a kept term's photons sit on distinct detector paths: it is selected when it fills them all
-    kept = {occ: a for occ, a in _checked(out).items() if len(occ) == len(wanted)}
-    if not kept:
-        return PhotonicState({}), 0.0
-    prob = sum(abs(a) ** 2 for a in kept.values())
-    factor = 1.0 / math.sqrt(prob)
-    detected = object.__new__(PhotonicState)  # finite and homogeneous: kept passed _checked
-    detected._terms = {occ: b for occ, a in kept.items() if abs(b := a * factor) > PRUNE_EPS}
-    return detected, prob
+            # photons on distinct paths: sorting by the first run's modes sorts every run's
+            for out, key in zip(outs, zip(*sorted(modes)) if modes else [()] * len(outs)):
+                out[key] = out.get(key, 0.0) + a
+    runs = []
+    for out in outs:
+        # a kept term's photons sit on distinct detector paths: it is selected when it fills them all
+        kept = {occ: a for occ, a in _checked(out).items() if len(occ) == len(wanted)} if out else {}
+        prob = sum((abs(a) ** 2 for a in kept.values()), 0.0)
+        factor = 1.0 / math.sqrt(prob) if kept else 0.0
+        detected = object.__new__(PhotonicState)  # finite and homogeneous: kept passed _checked
+        detected._terms = {occ: b for occ, a in kept.items() if abs(b := a * factor) > PRUNE_EPS}
+        runs.append((detected, prob))
+    return runs
 
 
 def inner(s1: PhotonicState, s2: PhotonicState) -> complex:

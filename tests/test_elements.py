@@ -270,6 +270,21 @@ def test_element_maps_cover_the_window_on_their_own_paths(spec, tags):
     assert window - covered == {ModeLabel(p, ell, t) for p in spec.paths for ell in gaps for t in tags}
 
 
+FOURIER_MATRIX = [[OMEGA ** (j * k) / math.sqrt(3) for k in range(3)] for j in range(3)]
+FOURIER = ElementSpec("LOCAL_UNITARY", ("D",), {"matrix": FOURIER_MATRIX, "basis": (0, 1, -1)})
+
+
+@pytest.mark.parametrize("spec", [*COVERAGE_SPECS, FOURIER], ids=lambda spec: spec.kind)
+def test_every_factory_map_treats_every_tag_alike(spec):
+    # the invariant one expansion for both runs, and the retagged fold, rest on
+    m = build_element(spec)
+    support = {t: {(mode.path, mode.oam) for mode in m.entries if mode.tag == t} for t in RUN_TAGS}
+    assert support[0] and all(modes == support[0] for modes in support.values())
+    for mode, image in m.entries.items():
+        tag0 = m.entries[ModeLabel(mode.path, mode.oam, 0)]
+        assert repr(image) == repr(tuple((ModeLabel(dst.path, dst.oam, mode.tag), c) for dst, c in tag0))
+
+
 def test_relabel_is_the_identity_off_its_keys_and_targets():
     m = build_element(ElementSpec("RELABEL", ("Z",), {"mapping": {"1": [2, 1]}}))
     z = {ell: PhotonicState.single(ModeLabel("Z", ell)) for ell in (0, 1, 2)}

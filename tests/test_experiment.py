@@ -13,7 +13,9 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import ghz3d.states
 from ghz3d import experiment, tomography
@@ -268,6 +270,76 @@ def test_one_pass_detection_is_postselect_of_apply_bit_for_bit():
         assert exact(once) == exact(postselect(apply(cfg.multiport_map, source), experiment.DETECTOR_PATHS))
 
 
+def bits(detections):
+    """Detected states and probabilities as text that tells apart every bit
+    of every amplitude, in term order."""
+    return [([(occ, repr(a)) for occ, a in state._terms.items()], repr(p)) for state, p in detections]
+
+
+RUN_TAG_SETS = (experiment.EQUAL_TAGS, experiment.DISTINCT_TAGS)
+
+
+def assert_one_expansion_is_two_detections(*cfgs):
+    """The retagged fold of configs sharing one chain is the fold of every
+    source mode, and each shared expansion gives what one detection per tag
+    set through that fold gives, bit for bit: each config's full sources and
+    every combo."""
+    folded = fold([m for _, m in cfgs[0].multiport], experiment.SOURCE_MODES)
+
+    def in_turn(source):
+        return bits(ghz3d.states._detect(folded, source(tags), experiment.DETECTOR_PATHS) for tags in RUN_TAG_SETS)
+
+    for cfg in cfgs:
+        assert (cfg.multiport_map.paths, cfg.multiport_map.unitary) == (folded.paths, folded.unitary)
+        images = {mode: [(dst, repr(c)) for dst, c in image] for mode, image in cfg.multiport_map.entries.items()}
+        assert images == {mode: [(dst, repr(c)) for dst, c in image] for mode, image in folded.entries.items()}
+        assert bits(cfg.detected[tags] for tags in RUN_TAG_SETS) == in_turn(lambda tags: experiment._sources(cfg, tags))
+    for kinds in itertools.product(experiment.TERM_KINDS, repeat=2):
+        shared = experiment._detected_runs(cfgs[0], experiment._combo(experiment.EQUAL_TAGS, kinds))
+        assert bits(shared) == in_turn(lambda tags: experiment._combo(tags, kinds))
+
+
+def test_one_expansion_is_two_detections_for_every_mirror_and_sorter_config():
+    for cfg in every_mirror_and_sorter_config():
+        # the same chain with c2-free sources too; the combos do not depend on the sources
+        assert_one_expansion_is_two_detections(cfg, PipelineConfig(mirrors=cfg.mirrors, sorter=cfg.sorter))
+
+
+@st.composite
+def chains_with_unitaries_and_relabelings(draw):
+    """A mirror/sorter chain with one to three LOCAL_UNITARY or RELABEL
+    elements inserted on the detector paths."""
+    bits = draw(st.integers(0, 2 ** len(MIRROR_STATIONS) - 1))
+    sorter = SorterConvention(draw(st.booleans()), draw(st.sampled_from([1.0, -1.0, 1j])))
+    mirrors = {s: bits >> b & 1 for b, s in enumerate(MIRROR_STATIONS)}
+    chain = list(pipeline_elements(PipelineConfig(mirrors=mirrors, sorter=sorter)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(experiment.DETECTOR_PATHS))
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            params = {"matrix": u, "basis": tuple(draw(st.permutations(ELLS))[:3])}
+            spec = ElementSpec("LOCAL_UNITARY", (path,), params)
+        else:
+            moved = draw(st.lists(st.sampled_from(ELLS), min_size=2, max_size=4, unique=True))
+            targets = draw(st.permutations(moved))
+            phases = [complex(np.exp(1j * draw(st.floats(0.0, 6.0)))) for _ in moved]
+            spec = ElementSpec("RELABEL", (path,), {"mapping": dict(zip(moved, zip(targets, phases)))})
+        chain.insert(draw(st.integers(0, len(chain))), spec)
+    return tuple(chain)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chains_with_unitaries_and_relabelings(), st.booleans())
+def test_one_expansion_is_two_detections_for_chains_with_unitaries_and_relabelings(chain, c2):
+    amps = SourceAmplitudes.from_ratios(1.7, 2.0)
+    try:
+        cfg = PipelineConfig(source1=amps, source2=amps, include_c2=c2, elements_override=chain)
+    except ValueError:  # a photon left the tracked OAM window
+        reject()
+    assert_one_expansion_is_two_detections(cfg)
+
+
 def projected_in_turn(cfg, projection, detected):
     """The four-fold probability from public project calls in detector order."""
     state, p = detected
@@ -410,17 +482,18 @@ def test_combo_states_and_pair_terms_are_built_once():
 
 
 def test_classify_terms_runs_each_combo_once_per_tag_set(monkeypatch):
+    # one expansion per combo serves both tag sets
     cfg = PipelineConfig()
-    run_chain = experiment._detected
+    run_chain = experiment._detected_runs
     sources = []
 
-    def detected(cfg, state):
+    def detected_runs(cfg, state):
         sources.append(frozenset(state.modes()))
         return run_chain(cfg, state)
 
-    monkeypatch.setattr(experiment, "_detected", detected)
+    monkeypatch.setattr(experiment, "_detected_runs", detected_runs)
     assert classify_terms(cfg).count(CROSS_BLOCKED) == 2
-    assert len(sources) == len(set(sources)) == 18
+    assert len(sources) == len(set(sources)) == 9
 
 
 # --- the target GHZ state ---------------------------------------------------

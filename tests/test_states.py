@@ -629,6 +629,15 @@ def test_one_pass_detection_sums_as_apply_does():
     assert once == detection(lambda: postselect(apply(m, state), "AB")) == (repr([((A1, B1), -1 + 0j)]), "1.0")
 
 
+def test_detection_keeps_the_mode_objects_of_each_map():
+    # detection caches each image mode with its retaggings; a plain tuple
+    # equal to a mode must not stand in for it later
+    state = PhotonicState.single(A0)
+    ghz3d.states._detect(LinearMap({A0: ((("A", 1, 0), 1.0),)}), state, "A")
+    detected, _ = ghz3d.states._detect(LinearMap({A0: ((A1, 1.0),)}), state, "A")
+    assert [type(m) for occ in detected._terms for m in occ] == [ModeLabel]
+
+
 def test_one_pass_detection_looks_up_every_mode():
     # the first photon leaves the detector paths, which empties every partial
     # product; the second still meets the map, outside its support

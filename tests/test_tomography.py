@@ -323,6 +323,24 @@ def test_simulation_deterministic_per_seed():
     assert a == b
 
 
+def test_counts_clip_a_setting_whose_expectation_rounds_below_zero():
+    # a pure state orthogonal to one setting: Tr(rho P) is 0 but can round to
+    # about -1e-17, and a Poisson draw at a negative rate raises
+    plan = tm.build_witness_plan()
+    for i, k in ((i, k) for i in range(len(plan)) for k in range(27)):
+        v = plan[i].operator_vector()
+        psi = np.eye(27)[k] - v.conj()[k] / (v.conj() @ v) * v
+        if np.linalg.norm(psi) > 0.5:
+            rho = tm.check_density_matrix(np.outer(psi, psi.conj()) / np.linalg.norm(psi) ** 2)
+            if plan[i].expectation(rho) < 0:
+                break
+    else:
+        pytest.skip("no setting's expectation rounds below zero with this BLAS")
+    records = tm.simulate_counts(rho, plan, 1652, seed=3)
+    assert records[i].counts == 0.0
+    assert sum(r.counts for r in records) > 0
+
+
 def test_accidental_subtraction_floors_at_zero():
     rho = tm.noise_model(tm.NoiseParams.table1())
     plan = tm.build_witness_plan()
